@@ -124,12 +124,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a byte-offset-annotated message on malformed input or
-    /// trailing garbage.
+    /// Returns a byte-offset-annotated message on malformed input,
+    /// trailing garbage, or arrays/objects nested more than 128 levels
+    /// deep.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -153,8 +154,15 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting [`Json::parse`] accepts, so hostile input
+/// gets an error instead of overflowing the recursive parser's stack.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth >= MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => parse_lit(bytes, pos, b"null", Json::Null),
@@ -170,7 +178,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -195,7 +203,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                pairs.push((key, parse_value(bytes, pos)?));
+                pairs.push((key, parse_value(bytes, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -264,12 +272,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one whole UTF-8 scalar, not one byte.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {}", *pos))?;
-                let c = rest.chars().next().expect("non-empty rest");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or escape: both
+                // are ASCII, so the run ends on a UTF-8 scalar boundary,
+                // and each input byte is validated once.
+                let run = bytes[*pos..].iter().position(|&b| b == b'"' || b == b'\\');
+                let end = run.map_or(bytes.len(), |run| *pos + run);
+                let text = std::str::from_utf8(&bytes[*pos..end])
+                    .map_err(|e| format!("invalid UTF-8 at byte {}", *pos + e.valid_up_to()))?;
+                out.push_str(text);
+                *pos = end;
             }
         }
     }
@@ -424,6 +435,37 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn parse_rejects_deep_array_nesting_without_overflowing() {
+        let text = "[".repeat(100_000);
+        let err = Json::parse(&text).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+    }
+
+    #[test]
+    fn parse_rejects_deep_object_nesting_without_overflowing() {
+        let text = "{\"a\":".repeat(100_000);
+        let err = Json::parse(&text).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+    }
+
+    #[test]
+    fn parse_accepts_nesting_up_to_the_limit() {
+        let text = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&text).is_ok());
+        let deeper = format!("[{text}]");
+        assert!(Json::parse(&deeper).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        // Re-validating the rest of the input per character made this
+        // quadratic: about 3e11 byte checks for this one megabyte.
+        let long = "é".repeat(1 << 19);
+        let text = Json::Str(long.clone()).pretty();
+        assert_eq!(Json::parse(&text), Ok(Json::Str(long)));
     }
 
     #[test]

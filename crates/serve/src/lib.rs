@@ -63,9 +63,11 @@
 //! warm-up, scaling, gauge samples) — [`trace::ChromeTraceSink`] renders
 //! a run as a Chrome/Perfetto trace, [`trace::RecordingSink`] captures
 //! the raw stream for tests, and the disabled default ([`trace::NullSink`])
-//! leaves every report byte-identical. For very long traces,
-//! [`trace::TelemetryMode::Streaming`] swaps the exact per-request
-//! latency vectors for fixed-memory P² quantile sketches and a bounded
+//! leaves every report byte-identical. The report is folded as the run
+//! goes: exact telemetry (the default) keeps one `f64` latency per
+//! completion, 8 B, plus 24 B per session-tagged completion, and sorts
+//! once at the end; [`trace::TelemetryMode::Streaming`] swaps those
+//! vectors for fixed-memory P² quantile sketches and a bounded
 //! time-bucketed gauge histogram.
 //!
 //! The fleet is also **mortal**: a seeded [`fault::FaultPlan`] injects

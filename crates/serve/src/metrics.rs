@@ -5,6 +5,7 @@
 use crate::json::Json;
 use crate::request::{CompletedRequest, Request};
 use crate::scale::ScaleEvent;
+use crate::trace::{StreamingSummary, TelemetryMode, TimeBuckets};
 use swat::schedule::Placement;
 use swat_workloads::RequestClass;
 
@@ -44,14 +45,20 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     fn from_latencies(mut latencies: Vec<f64>) -> LatencySummary {
-        latencies.sort_by(f64::total_cmp);
-        let mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
+        latencies.sort_unstable_by(f64::total_cmp);
+        LatencySummary::from_sorted(&latencies)
+    }
+
+    /// Summarizes a non-empty slice already sorted by `f64::total_cmp`.
+    /// The sort fixes the summation order, so the mean (like every
+    /// percentile) does not depend on the order latencies were observed.
+    fn from_sorted(sorted: &[f64]) -> LatencySummary {
         LatencySummary {
-            p50: percentile(&latencies, 0.50),
-            p95: percentile(&latencies, 0.95),
-            p99: percentile(&latencies, 0.99),
-            mean,
-            max: *latencies.last().expect("non-empty"),
+            p50: percentile(sorted, 0.50),
+            p95: percentile(sorted, 0.95),
+            p99: percentile(sorted, 0.99),
+            mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
+            max: *sorted.last().expect("non-empty"),
         }
     }
 
@@ -107,7 +114,7 @@ impl QueueSummary {
 }
 
 /// One row of the streaming telemetry histogram: gauge statistics over a
-/// fixed time bucket (see [`TimeBuckets`](crate::trace::TimeBuckets)).
+/// fixed time bucket (see [`TimeBuckets`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryBucket {
     /// Bucket start, seconds (buckets are contiguous).
@@ -148,13 +155,13 @@ impl TelemetryBucket {
 }
 
 /// The streaming telemetry attachment: present on a report only when the
-/// run used [`TelemetryMode::Streaming`](crate::trace::TelemetryMode) —
+/// run used [`TelemetryMode::Streaming`] —
 /// Exact-mode reports omit it entirely, keeping their JSON byte-identical
 /// to pre-telemetry releases.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySummary {
     /// Bucket width, seconds (doubles as long runs coarsen; see
-    /// [`TimeBuckets`](crate::trace::TimeBuckets)).
+    /// [`TimeBuckets`]).
     pub bucket_seconds: f64,
     /// The bounded gauge histogram, in time order.
     pub buckets: Vec<TelemetryBucket>,
@@ -295,18 +302,6 @@ impl FaultSummary {
     }
 }
 
-/// Finds (or inserts) the per-session accumulator row for a session id,
-/// keeping the vector sorted by id so the fold is deterministic.
-fn session_slot(per: &mut Vec<(u64, usize, f64)>, session: u64) -> usize {
-    match per.binary_search_by_key(&session, |e| e.0) {
-        Ok(i) => i,
-        Err(i) => {
-            per.insert(i, (session, 0, 0.0));
-            i
-        }
-    }
-}
-
 /// Per-conversation accounting, attached to a report only when the
 /// traffic carried session ids (some request with `session != 0`) —
 /// sessionless runs omit the block so their JSON stays byte-identical to
@@ -341,41 +336,9 @@ impl SessionSummary {
         rejected: &[Request],
         failed: &[Request],
     ) -> Option<SessionSummary> {
-        // (session id, completed turns, summed latency), sorted by id.
-        let mut per: Vec<(u64, usize, f64)> = Vec::new();
-        for c in completed.iter().filter(|c| c.request.session != 0) {
-            let i = session_slot(&mut per, c.request.session);
-            per[i].1 += 1;
-            per[i].2 += c.latency();
-        }
-        // Sessions whose every turn was shed or stranded still count as
-        // sessions (with zero completed turns) — fairness must see them.
-        for r in rejected.iter().chain(failed).filter(|r| r.session != 0) {
-            session_slot(&mut per, r.session);
-        }
-        if per.is_empty() {
-            return None;
-        }
-        let turns_completed: usize = per.iter().map(|e| e.1).sum();
-        let n = per.len() as f64;
-        let sum: f64 = per.iter().map(|e| e.1 as f64).sum();
-        let sumsq: f64 = per.iter().map(|e| (e.1 as f64) * (e.1 as f64)).sum();
-        let means: Vec<f64> = per
-            .iter()
-            .filter(|e| e.1 > 0)
-            .map(|e| e.2 / e.1 as f64)
-            .collect();
-        Some(SessionSummary {
-            sessions: per.len(),
-            turns_completed,
-            mean_turns: turns_completed as f64 / n,
-            latency: (!means.is_empty()).then(|| LatencySummary::from_latencies(means)),
-            fairness: if sumsq > 0.0 {
-                sum * sum / (n * sumsq)
-            } else {
-                1.0
-            },
-        })
+        ReportBuilder::exact(completed, rejected, failed)
+            .sessions?
+            .summary()
     }
 
     fn to_json(&self) -> Json {
@@ -426,60 +389,6 @@ pub struct DecodeSummary {
 }
 
 impl DecodeSummary {
-    /// Folds completions into decode statistics. Returns `None` when
-    /// every completion was one-shot, which is what keeps pre-decode
-    /// reports untouched.
-    pub fn from_completions(completed: &[CompletedRequest]) -> Option<DecodeSummary> {
-        if completed.iter().all(|c| c.request.decode.is_one_shot()) {
-            return None;
-        }
-        let steps_completed: u64 = completed
-            .iter()
-            .map(|c| u64::from(c.request.steps_done))
-            .sum();
-        let max_steps = completed
-            .iter()
-            .map(|c| c.request.steps_done as usize)
-            .max()
-            .unwrap_or(0);
-        let mut steps_histogram = vec![0usize; max_steps];
-        for c in completed {
-            steps_histogram[c.request.steps_done as usize - 1] += 1;
-        }
-        let decode: Vec<&CompletedRequest> = completed
-            .iter()
-            .filter(|c| !c.request.decode.is_one_shot())
-            .collect();
-        let early_exits = decode.iter().filter(|c| c.early_exit()).count();
-        let intervals: Vec<f64> = decode
-            .iter()
-            .filter(|c| c.request.steps_done >= 2)
-            .map(|c| (c.finished - c.first_step_finished) / f64::from(c.request.steps_done - 1))
-            .collect();
-        Some(DecodeSummary {
-            decode_requests: decode.len(),
-            steps_completed,
-            mean_steps: steps_completed as f64 / completed.len() as f64,
-            steps_histogram,
-            early_exits,
-            early_exit_rate: if decode.is_empty() {
-                0.0
-            } else {
-                early_exits as f64 / decode.len() as f64
-            },
-            ttft: (!completed.is_empty()).then(|| {
-                LatencySummary::from_latencies(
-                    completed.iter().map(CompletedRequest::ttft).collect(),
-                )
-            }),
-            step_interval: (!intervals.is_empty())
-                .then(|| LatencySummary::from_latencies(intervals)),
-            total_latency: (!decode.is_empty()).then(|| {
-                LatencySummary::from_latencies(decode.iter().map(|c| c.latency()).collect())
-            }),
-        })
-    }
-
     fn to_json(&self) -> Json {
         Json::obj([
             ("decode_requests", Json::Int(self.decode_requests as i64)),
@@ -714,7 +623,7 @@ pub struct ServeReport {
     /// Per-job placements, when tracing was requested: `(card, placement)`.
     pub placements: Vec<(usize, Placement)>,
     /// Streaming telemetry histogram, present only on
-    /// [`TelemetryMode::Streaming`](crate::trace::TelemetryMode) runs
+    /// [`TelemetryMode::Streaming`] runs
     /// (`None` under Exact, whose JSON must stay byte-identical).
     pub telemetry: Option<TelemetrySummary>,
     /// Requests stranded un-served because every card died mid-run
@@ -745,6 +654,10 @@ impl ServeReport {
     /// request shed — produces a fully finite report: zero makespan and
     /// throughput, `None` latency. The session block is derived here
     /// (`Some` only when some request carried a session id).
+    ///
+    /// This is the simulator's own exact-telemetry accumulator folded
+    /// over the three slices, so the report does not depend on their
+    /// order.
     // One argument per raw simulation output: bundling them into a
     // struct would just move the same names one level down.
     #[allow(clippy::too_many_arguments)]
@@ -762,92 +675,17 @@ impl ServeReport {
         faults: Option<FaultSummary>,
         placements: Vec<(usize, Placement)>,
     ) -> ServeReport {
-        let latencies: Vec<f64> = completed.iter().map(CompletedRequest::latency).collect();
-        let first_arrival = completed
-            .iter()
-            .map(|c| c.request.arrival)
-            .fold(f64::INFINITY, f64::min);
-        let last_finish = completed.iter().map(|c| c.finished).fold(0.0, f64::max);
-        let makespan = if completed.is_empty() {
-            0.0
-        } else {
-            last_finish - first_arrival
-        };
-        let energy: f64 = cards.iter().map(|c| c.energy_joules).sum();
-        let idle_energy: f64 = cards.iter().map(|c| c.idle_energy_joules).sum();
-
-        let classes = RequestClass::ALL
-            .iter()
-            .filter_map(|&class| {
-                let done: Vec<&CompletedRequest> = completed
-                    .iter()
-                    .filter(|c| c.request.class == class)
-                    .collect();
-                let shed = rejected.iter().filter(|r| r.class == class).count();
-                let lost = failed.iter().filter(|r| r.class == class).count();
-                if done.is_empty() && shed == 0 && lost == 0 {
-                    return None;
-                }
-                Some(ClassSummary {
-                    class,
-                    offered: done.len() + shed + lost,
-                    completed: done.len(),
-                    rejected: shed,
-                    slo_violations: done.iter().filter(|c| !c.met_slo()).count(),
-                    latency: if done.is_empty() {
-                        None
-                    } else {
-                        Some(LatencySummary::from_latencies(
-                            done.iter().map(|c| c.latency()).collect(),
-                        ))
-                    },
-                })
-            })
-            .collect();
-
-        let groups = GroupSummary::from_cards(&cards);
-        let max_shards = completed
-            .iter()
-            .map(|c| c.shards as usize)
-            .max()
-            .unwrap_or(0);
-        let mut shard_widths = vec![0usize; max_shards];
-        for c in completed {
-            shard_widths[c.shards as usize - 1] += 1;
-        }
-        ServeReport {
-            policy: policy.to_string(),
-            arrivals: arrivals.to_string(),
-            offered: completed.len() + rejected.len() + failed.len(),
-            completed: completed.len(),
-            rejected: rejected.len(),
-            sharded_requests: completed.iter().filter(|c| c.shards > 1).count(),
-            max_shards,
-            shard_widths,
-            makespan,
-            throughput_rps: if makespan > 0.0 {
-                completed.len() as f64 / makespan
-            } else {
-                0.0
-            },
-            latency: (!latencies.is_empty()).then(|| LatencySummary::from_latencies(latencies)),
-            classes,
+        ReportBuilder::exact(completed, rejected, failed).finish(
+            policy,
+            arrivals,
             queue,
             cards,
-            groups,
-            energy_joules: energy,
-            idle_energy_joules: idle_energy,
-            slo_violations: completed.iter().filter(|c| !c.met_slo()).count(),
             preemptions,
             scaling,
             cost_prediction,
-            placements,
-            telemetry: None,
-            failed: failed.len(),
             faults,
-            sessions: SessionSummary::from_requests(completed, rejected, failed),
-            decode: DecodeSummary::from_completions(completed),
-        }
+            placements,
+        )
     }
 
     /// Mean utilization across cards (0 for a cardless report).
@@ -1005,6 +843,386 @@ impl ServeReport {
             pairs.push(("telemetry", t.to_json()));
         }
         Json::obj(pairs)
+    }
+}
+
+/// Per-class counts, kept in both telemetry modes; the report's totals
+/// are their sums.
+#[derive(Debug, Clone, Copy, Default)]
+struct ClassTally {
+    completed: usize,
+    rejected: usize,
+    failed: usize,
+    slo_violations: usize,
+}
+
+impl ClassTally {
+    fn offered(&self) -> usize {
+        self.completed + self.rejected + self.failed
+    }
+}
+
+/// Per-conversation state of exact telemetry: a `(session, id, latency)`
+/// triple (24 B) per session-tagged completion, and the session of each
+/// shed or stranded session-tagged request. Sessionless traffic stores
+/// nothing here.
+#[derive(Debug, Clone, Default)]
+struct SessionTally {
+    turns: Vec<(u64, u64, f64)>,
+    lost: Vec<u64>,
+}
+
+impl SessionTally {
+    /// Folds the turns in `(session, id)` order, so each session's
+    /// latency sum adds in request-id order however its turns
+    /// interleaved at completion.
+    fn summary(mut self) -> Option<SessionSummary> {
+        self.turns
+            .sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.total_cmp(&b.2)));
+        // (session id, completed turns, summed latency), sorted by id.
+        let mut per: Vec<(u64, usize, f64)> = Vec::new();
+        for &(session, _, latency) in &self.turns {
+            if per.last().map(|e| e.0) != Some(session) {
+                per.push((session, 0, 0.0));
+            }
+            let e = per.last_mut().expect("just pushed");
+            e.1 += 1;
+            e.2 += latency;
+        }
+        // Sessions whose every turn was shed or stranded still count as
+        // sessions (with zero completed turns) — fairness must see them.
+        self.lost.sort_unstable();
+        self.lost.dedup();
+        let lost_only = self.lost.iter();
+        let lost_only = lost_only.filter(|&&s| per.binary_search_by_key(&s, |e| e.0).is_err());
+        let sessions = per.len() + lost_only.count();
+        if sessions == 0 {
+            return None;
+        }
+        let n = sessions as f64;
+        let sum: f64 = per.iter().map(|e| e.1 as f64).sum();
+        let sumsq: f64 = per.iter().map(|e| (e.1 as f64) * (e.1 as f64)).sum();
+        let means: Vec<f64> = per.iter().map(|e| e.2 / e.1 as f64).collect();
+        Some(SessionSummary {
+            sessions,
+            turns_completed: self.turns.len(),
+            mean_turns: self.turns.len() as f64 / n,
+            latency: (!means.is_empty()).then(|| LatencySummary::from_latencies(means)),
+            fairness: if sumsq > 0.0 {
+                sum * sum / (n * sumsq)
+            } else {
+                1.0
+            },
+        })
+    }
+}
+
+/// Decode state of exact telemetry, from the first multi-step completion
+/// on: one `f64` per decode completion for its total latency and one per
+/// completion of two or more steps for its step interval.
+#[derive(Debug, Clone, Default)]
+struct DecodeTally {
+    early_exits: usize,
+    intervals: Vec<f64>,
+    total: Vec<f64>,
+}
+
+/// What exact telemetry keeps: one latency per completion (8 B), filed by
+/// class and sorted once when the report is built, plus what the decode
+/// block reads.
+#[derive(Debug, Clone, Default)]
+struct ExactTally {
+    /// Completion latencies by class rank; their union is the overall
+    /// distribution.
+    latencies: [Vec<f64>; RequestClass::ALL.len()],
+    /// `steps[s]` completions executed exactly `s` decode steps.
+    steps: Vec<usize>,
+    /// Time to first step of every completion, or `None` while each one
+    /// equalled its latency bit for bit — as every one-shot completion's
+    /// does, so one-shot runs never allocate it.
+    ttft: Option<Vec<f64>>,
+    /// `None` until a completion carries a multi-step decode plan.
+    decode: Option<DecodeTally>,
+}
+
+impl ExactTally {
+    fn complete(&mut self, c: &CompletedRequest, latency: f64) {
+        let ttft = c.ttft();
+        if self.ttft.is_none() && ttft.to_bits() != latency.to_bits() {
+            // Every earlier completion's ttft was its latency.
+            self.ttft = Some(self.latencies.concat());
+        }
+        if let Some(v) = &mut self.ttft {
+            v.push(ttft);
+        }
+        self.latencies[c.request.class.rank() as usize].push(latency);
+        let steps = c.request.steps_done as usize;
+        if self.steps.len() <= steps {
+            self.steps.resize(steps + 1, 0);
+        }
+        self.steps[steps] += 1;
+        if !c.request.decode.is_one_shot() {
+            let d = self.decode.get_or_insert_with(DecodeTally::default);
+            d.early_exits += usize::from(c.early_exit());
+            if steps >= 2 {
+                let interval = (c.finished - c.first_step_finished) / (steps - 1) as f64;
+                d.intervals.push(interval);
+            }
+            d.total.push(latency);
+        }
+    }
+
+    /// The decode block, `Some` only when some completion carried a
+    /// multi-step plan. `all` is every completion latency, sorted.
+    fn decode_summary(&mut self, all: &[f64]) -> Option<DecodeSummary> {
+        let d = self.decode.take()?;
+        let steps = self.steps.iter().enumerate();
+        let steps_completed: u64 = steps.map(|(s, &n)| (s * n) as u64).sum();
+        Some(DecodeSummary {
+            decode_requests: d.total.len(),
+            steps_completed,
+            mean_steps: steps_completed as f64 / all.len() as f64,
+            steps_histogram: self.steps[1..].to_vec(),
+            early_exits: d.early_exits,
+            early_exit_rate: d.early_exits as f64 / d.total.len() as f64,
+            ttft: Some(match self.ttft.take() {
+                Some(ttft) => LatencySummary::from_latencies(ttft),
+                None => LatencySummary::from_sorted(all),
+            }),
+            step_interval: (!d.intervals.is_empty())
+                .then(|| LatencySummary::from_latencies(d.intervals)),
+            total_latency: Some(LatencySummary::from_latencies(d.total)),
+        })
+    }
+}
+
+/// What streaming telemetry keeps: P² sketches, overall and per class,
+/// and the bounded gauge histogram — nothing grows with trace length.
+#[derive(Debug, Clone, Default)]
+struct StreamingTally {
+    latency: StreamingSummary,
+    classes: [StreamingSummary; RequestClass::ALL.len()],
+    buckets: TimeBuckets,
+}
+
+/// The quantile backend, and the extras each telemetry mode keeps.
+#[derive(Debug, Clone)]
+enum Backend {
+    Exact(Box<ExactTally>),
+    Streaming(Box<StreamingTally>),
+}
+
+/// The one report accumulator behind every [`ServeReport`]. The
+/// simulator folds each completion, shed and stranded request into it as
+/// it happens; [`ServeReport::assemble`] folds slices into it. Counts,
+/// SLO violations, shard widths and the makespan endpoints accumulate the
+/// same way in both [`TelemetryMode`]s. Only the quantile backend differs
+/// (exact sorted vectors vs P² sketches), and only exact mode keeps the
+/// session and decode blocks. Exact-mode reports do not depend on fold
+/// order.
+#[derive(Debug, Clone)]
+pub(crate) struct ReportBuilder {
+    classes: [ClassTally; RequestClass::ALL.len()],
+    sharded_requests: usize,
+    /// `shard_widths[w - 1]` completions at peak width `w`.
+    shard_widths: Vec<usize>,
+    /// Earliest arrival among completions (`∞` until one completes).
+    first_arrival: f64,
+    /// Latest fan-in among completions (`0` until one completes).
+    last_finish: f64,
+    backend: Backend,
+    /// `Some` in exact mode only.
+    sessions: Option<SessionTally>,
+}
+
+impl ReportBuilder {
+    /// An empty accumulator for `mode`.
+    pub(crate) fn new(mode: TelemetryMode) -> ReportBuilder {
+        ReportBuilder {
+            classes: [ClassTally::default(); RequestClass::ALL.len()],
+            sharded_requests: 0,
+            shard_widths: Vec::new(),
+            first_arrival: f64::INFINITY,
+            last_finish: 0.0,
+            backend: match mode {
+                TelemetryMode::Exact => Backend::Exact(Box::default()),
+                TelemetryMode::Streaming => Backend::Streaming(Box::default()),
+            },
+            sessions: (mode == TelemetryMode::Exact).then(SessionTally::default),
+        }
+    }
+
+    /// An exact-mode accumulator with the three outcome slices folded in.
+    fn exact(completed: &[CompletedRequest], rejected: &[Request], failed: &[Request]) -> Self {
+        let mut builder = ReportBuilder::new(TelemetryMode::Exact);
+        completed.iter().for_each(|c| builder.complete(c));
+        rejected.iter().for_each(|r| builder.reject(r));
+        failed.iter().for_each(|r| builder.fail(r));
+        builder
+    }
+
+    /// Folds in one completion.
+    pub(crate) fn complete(&mut self, c: &CompletedRequest) {
+        let latency = c.latency();
+        let rank = c.request.class.rank() as usize;
+        self.classes[rank].completed += 1;
+        self.classes[rank].slo_violations += usize::from(!c.met_slo());
+        let width = c.shards as usize;
+        self.sharded_requests += usize::from(width > 1);
+        if self.shard_widths.len() < width {
+            self.shard_widths.resize(width, 0);
+        }
+        self.shard_widths[width - 1] += 1;
+        self.first_arrival = self.first_arrival.min(c.request.arrival);
+        self.last_finish = self.last_finish.max(c.finished);
+        if let (Some(sessions), true) = (&mut self.sessions, c.request.session != 0) {
+            let turn = (c.request.session, c.request.id, latency);
+            sessions.turns.push(turn);
+        }
+        match &mut self.backend {
+            Backend::Exact(exact) => exact.complete(c, latency),
+            Backend::Streaming(s) => {
+                s.latency.observe(latency);
+                s.classes[rank].observe(latency);
+            }
+        }
+    }
+
+    /// Folds in a request admission control shed.
+    pub(crate) fn reject(&mut self, r: &Request) {
+        self.classes[r.class.rank() as usize].rejected += 1;
+        self.lose(r);
+    }
+
+    /// Folds in a request stranded because every card died.
+    pub(crate) fn fail(&mut self, r: &Request) {
+        self.classes[r.class.rank() as usize].failed += 1;
+        self.lose(r);
+    }
+
+    fn lose(&mut self, r: &Request) {
+        if let (Some(sessions), true) = (&mut self.sessions, r.session != 0) {
+            sessions.lost.push(r.session);
+        }
+    }
+
+    /// The gauge histogram, which only streaming mode keeps (`None` lets
+    /// the simulator skip computing gauge samples).
+    pub(crate) fn gauge_buckets(&mut self) -> Option<&mut TimeBuckets> {
+        match &mut self.backend {
+            Backend::Streaming(s) => Some(&mut s.buckets),
+            Backend::Exact(_) => None,
+        }
+    }
+
+    /// Requests folded in so far: completed, shed, and stranded.
+    pub(crate) fn resolved(&self) -> usize {
+        self.classes.iter().map(ClassTally::offered).sum()
+    }
+
+    /// Stranded requests folded in so far.
+    pub(crate) fn failed(&self) -> usize {
+        self.classes.iter().map(|t| t.failed).sum()
+    }
+
+    /// Latest completion instant (`0` before any completion).
+    pub(crate) fn last_finish(&self) -> f64 {
+        self.last_finish
+    }
+
+    /// Builds the report. `placements` is dropped in streaming mode.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn finish(
+        self,
+        policy: &str,
+        arrivals: &str,
+        queue: QueueSummary,
+        cards: Vec<CardSummary>,
+        preemptions: Vec<PreemptionRecord>,
+        scaling: Vec<ScaleEvent>,
+        cost_prediction: Option<CostPrediction>,
+        faults: Option<FaultSummary>,
+        placements: Vec<(usize, Placement)>,
+    ) -> ServeReport {
+        let tally = self.classes;
+        let total = |count: fn(&ClassTally) -> usize| tally.iter().map(count).sum::<usize>();
+        let completed = total(|t| t.completed);
+        let makespan = if completed == 0 {
+            0.0
+        } else {
+            self.last_finish - self.first_arrival
+        };
+        let (latency, class_latency, decode, telemetry, placements) = match self.backend {
+            Backend::Exact(mut exact) => {
+                for v in &mut exact.latencies {
+                    v.sort_unstable_by(f64::total_cmp);
+                }
+                let class_latency = exact.latencies.each_ref();
+                let class_latency =
+                    class_latency.map(|v| (!v.is_empty()).then(|| LatencySummary::from_sorted(v)));
+                // The class vectors are sorted runs, which the stable
+                // sort merges in linear time.
+                let mut all = exact.latencies.concat();
+                all.sort_by(f64::total_cmp);
+                let latency = (!all.is_empty()).then(|| LatencySummary::from_sorted(&all));
+                let decode = exact.decode_summary(&all);
+                (latency, class_latency, decode, None, placements)
+            }
+            Backend::Streaming(s) => {
+                let class_latency = s.classes.each_ref().map(StreamingSummary::summary);
+                let telemetry = TelemetrySummary {
+                    bucket_seconds: s.buckets.width_seconds(),
+                    buckets: s.buckets.rows(),
+                };
+                let latency = s.latency.summary();
+                (latency, class_latency, None, Some(telemetry), Vec::new())
+            }
+        };
+        let classes = RequestClass::ALL.iter().zip(tally).zip(class_latency);
+        let classes = classes
+            .filter(|((_, t), _)| t.offered() > 0)
+            .map(|((&class, t), latency)| ClassSummary {
+                class,
+                offered: t.offered(),
+                completed: t.completed,
+                rejected: t.rejected,
+                slo_violations: t.slo_violations,
+                latency,
+            })
+            .collect();
+        ServeReport {
+            policy: policy.to_string(),
+            arrivals: arrivals.to_string(),
+            offered: total(ClassTally::offered),
+            completed,
+            rejected: total(|t| t.rejected),
+            sharded_requests: self.sharded_requests,
+            max_shards: self.shard_widths.len(),
+            shard_widths: self.shard_widths,
+            makespan,
+            throughput_rps: if makespan > 0.0 {
+                completed as f64 / makespan
+            } else {
+                0.0
+            },
+            latency,
+            classes,
+            queue,
+            groups: GroupSummary::from_cards(&cards),
+            energy_joules: cards.iter().map(|c| c.energy_joules).sum(),
+            idle_energy_joules: cards.iter().map(|c| c.idle_energy_joules).sum(),
+            cards,
+            slo_violations: total(|t| t.slo_violations),
+            preemptions,
+            scaling,
+            cost_prediction,
+            placements,
+            telemetry,
+            failed: total(|t| t.failed),
+            faults,
+            sessions: self.sessions.and_then(SessionTally::summary),
+            decode,
+        }
     }
 }
 

@@ -998,7 +998,7 @@ impl ScenarioSpec {
         if let Some(cfg) = self.autoscale {
             sim = sim.autoscale(cfg);
         }
-        Ok(sim.run_profiled(&mut *policy, &trace))
+        Ok(sim.run_profiled(&mut *policy, trace))
     }
 
     /// The spec's JSON representation — see the [module docs](self).

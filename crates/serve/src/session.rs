@@ -24,7 +24,6 @@ use crate::arrival::{exp_sample, ArrivalProcess};
 use crate::request::Request;
 use swat_numeric::SplitMix64;
 pub use swat_workloads::SessionProfile;
-use swat_workloads::{RequestClass, RequestShape};
 
 /// Seed-substream tag for the per-session randomness, keeping session
 /// draws independent of the arrival process's own substream.
@@ -67,7 +66,7 @@ impl SessionTraffic {
         self.profile.validate();
         let starts = self.arrivals.times(sessions, self.seed);
         let mut master = SplitMix64::new(self.seed ^ SESSION_STREAM);
-        let mut turns: Vec<(f64, u64, usize, RequestShape, RequestClass)> = Vec::new();
+        let mut trace: Vec<Request> = Vec::new();
         for (i, &start) in starts.iter().enumerate() {
             let session = (i + 1) as u64;
             // One substream per session: a session's turn shapes do not
@@ -78,21 +77,21 @@ impl SessionTraffic {
             let mut t = start;
             for turn in 0..turn_count {
                 let (shape, class) = self.profile.turn_shape(&mut rng, heavy, turn);
-                turns.push((t, session, turn, shape, class));
+                let drawn = trace.len() as u64;
+                trace.push(Request::classed(drawn, t, shape, class).with_session(session));
                 t += exp_sample(&mut rng, 1.0 / self.profile.think_mean_s);
             }
         }
         // Arrival order, with (session, turn) as a total tie-break so the
         // sort — and therefore the id assignment — is deterministic even
-        // under exact arrival-time collisions.
-        turns.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        turns
-            .into_iter()
-            .enumerate()
-            .map(|(id, (arrival, session, _turn, shape, class))| {
-                Request::classed(id as u64, arrival, shape, class).with_session(session)
-            })
-            .collect()
+        // under exact arrival-time collisions. Ids hold draw order until
+        // here, which within a session is turn order; the key is unique,
+        // so the unstable sort (no scratch buffer) orders as a stable one.
+        trace.sort_unstable_by(|a, b| {
+            (a.arrival.total_cmp(&b.arrival)).then((a.session, a.id).cmp(&(b.session, b.id)))
+        });
+        trace.iter_mut().zip(0..).for_each(|(r, id)| r.id = id);
+        trace
     }
 
     /// The same trace with every session tag stripped — identical ids,
@@ -110,6 +109,7 @@ impl SessionTraffic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swat_workloads::RequestClass;
 
     fn traffic(seed: u64) -> SessionTraffic {
         SessionTraffic {
@@ -132,6 +132,34 @@ mod tests {
             a.windows(2).all(|w| w[0].arrival <= w[1].arrival),
             "arrival-sorted"
         );
+    }
+
+    /// Building final requests in place and sorting them unstably gives
+    /// the trace that stable-sorting `(arrival, session, turn)` tuples and
+    /// numbering afterwards gives.
+    #[test]
+    fn in_place_build_matches_the_tuple_sort() {
+        let t = traffic(11);
+        let mut master = SplitMix64::new(t.seed ^ SESSION_STREAM);
+        let mut turns = Vec::new();
+        for (i, &start) in t.arrivals.times(200, t.seed).iter().enumerate() {
+            let mut rng = SplitMix64::new(master.next_u64());
+            let turn_count = t.profile.draw_turns(&mut rng);
+            let heavy = t.profile.draw_heavy(&mut rng);
+            let mut at = start;
+            for turn in 0..turn_count {
+                let (shape, class) = t.profile.turn_shape(&mut rng, heavy, turn);
+                turns.push((at, (i + 1) as u64, turn, shape, class));
+                at += exp_sample(&mut rng, 1.0 / t.profile.think_mean_s);
+            }
+        }
+        turns.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        let reference: Vec<Request> = (turns.into_iter().enumerate())
+            .map(|(id, (arrival, session, _, shape, class))| {
+                Request::classed(id as u64, arrival, shape, class).with_session(session)
+            })
+            .collect();
+        assert_eq!(t.requests(200), reference);
     }
 
     #[test]

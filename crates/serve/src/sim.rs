@@ -47,21 +47,21 @@
 //! dropped at delivery when its shard id no longer matches a live slot in
 //! the in-flight table.
 
+use std::borrow::Cow;
+
 use crate::arrival::ArrivalProcess;
 use crate::cost::CostModel;
 use crate::event::{Event, EventQueue, PriorityQueue};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::fleet::{Admission, Card, Fleet, FleetConfig};
 use crate::metrics::{
-    CardSummary, ClassSummary, CostPrediction, FaultSummary, PreemptionRecord, QueueSample,
-    QueueSummary, ServeReport, TelemetrySummary,
+    CardSummary, CostPrediction, FaultSummary, PreemptionRecord, QueueSample, QueueSummary,
+    ReportBuilder, ServeReport,
 };
 use crate::policy::{CardView, DispatchPolicy};
 use crate::request::{CompletedRequest, Request};
-use crate::scale::{Autoscaler, AutoscalerConfig, ScaleEvent};
-use crate::trace::{
-    GaugeSample, KernelCounters, NullSink, StreamingSummary, TelemetryMode, TimeBuckets, TraceSink,
-};
+use crate::scale::{Autoscaler, AutoscalerConfig};
+use crate::trace::{GaugeSample, KernelCounters, NullSink, TelemetryMode, TraceSink};
 use swat_numeric::SplitMix64;
 use swat_workloads::{RequestClass, RequestMix};
 
@@ -404,9 +404,10 @@ impl<'a> Simulation<'a> {
     }
 
     /// Sets how the report accumulates its metrics.
-    /// [`TelemetryMode::Exact`] (the default) keeps every completion and
-    /// computes exact percentiles; [`TelemetryMode::Streaming`] holds
-    /// fixed memory regardless of trace length — P² quantile sketches
+    /// [`TelemetryMode::Exact`] (the default) keeps one latency per
+    /// completion and computes exact percentiles;
+    /// [`TelemetryMode::Streaming`] holds fixed memory regardless of
+    /// trace length — P² quantile sketches
     /// behind the p50/p95/p99 fields plus a bounded time-bucketed gauge
     /// histogram attached as [`ServeReport::telemetry`]. The *schedule*
     /// is bitwise identical either way; only the report's summary
@@ -464,7 +465,7 @@ impl<'a> Simulation<'a> {
         sink: &mut dyn TraceSink,
     ) -> ServeReport {
         let mut counters = KernelCounters::default();
-        self.run_inner(policy, requests, sink, &mut counters)
+        self.run_inner(policy, Cow::Borrowed(requests), sink, &mut counters)
     }
 
     /// Like [`Simulation::run`], additionally returning the kernel's
@@ -472,25 +473,26 @@ impl<'a> Simulation<'a> {
     /// tombstones, peak heap/queue sizes. The counters are sim-domain and
     /// deterministic; divide [`KernelCounters::events_total`] by a
     /// wall-clock measurement of this call to get events/sec (what
-    /// `kernel_profile` writes to `BENCH_kernel.json`).
+    /// `kernel_profile` writes to `BENCH_kernel.json`). A trace passed by
+    /// value (`Vec<Request>`) is simulated in place instead of copied.
     ///
     /// # Panics
     ///
     /// As [`Simulation::run`].
-    pub fn run_profiled(
+    pub fn run_profiled<'r>(
         &self,
         policy: &mut dyn DispatchPolicy,
-        requests: &[Request],
+        requests: impl Into<Cow<'r, [Request]>>,
     ) -> (ServeReport, KernelCounters) {
         let mut counters = KernelCounters::default();
-        let report = self.run_inner(policy, requests, &mut NullSink, &mut counters);
+        let report = self.run_inner(policy, requests.into(), &mut NullSink, &mut counters);
         (report, counters)
     }
 
     fn run_inner(
         &self,
         policy: &mut dyn DispatchPolicy,
-        requests: &[Request],
+        requests: Cow<'_, [Request]>,
         sink: &mut dyn TraceSink,
         counters: &mut KernelCounters,
     ) -> ServeReport {
@@ -509,7 +511,7 @@ impl<'a> Simulation<'a> {
             let n = requests.len();
             let mut seen = vec![false; n];
             let mut dense = true;
-            for r in requests {
+            for r in requests.iter() {
                 match usize::try_from(r.id).ok().filter(|&i| i < n) {
                     Some(i) => {
                         assert!(
@@ -559,13 +561,16 @@ impl<'a> Simulation<'a> {
         // Shards currently executing — maintained incrementally so gauge
         // samples never scan the fan-in table.
         let mut live_shards = 0usize;
-        let mut accum = match self.telemetry {
-            TelemetryMode::Exact => Accum::Exact {
-                completed: Vec::with_capacity(requests.len()),
-                rejected: Vec::new(),
-            },
-            TelemetryMode::Streaming => Accum::Streaming(Box::new(StreamingAccum::new())),
-        };
+        // Queue-depth integral for the time-weighted mean. The timeline
+        // caps at TIMELINE_CAP samples; `samples_total` keeps counting so
+        // the report can tell a capped timeline from a complete one. The
+        // report keeps it, so it is allocated whole, before the arena.
+        let mut timeline: Vec<QueueSample> = Vec::with_capacity(TIMELINE_CAP);
+        let mut samples_total = 0usize;
+        let mut max_depth = 0usize;
+        let mut depth_integral = 0.0f64;
+        let mut last_event = t0;
+        let mut report = ReportBuilder::new(self.telemetry);
         let mut placements: Vec<(usize, swat::schedule::Placement)> = Vec::new();
         let mut scratch: Vec<swat::schedule::Placement> = Vec::new();
         // Reusable CardView scratch: one snapshot per card, maintained
@@ -601,20 +606,11 @@ impl<'a> Simulation<'a> {
         let mut prediction_abs_error = 0.0f64;
         let mut prediction_max_error = 0.0f64;
 
-        // Queue-depth integral for the time-weighted mean. The timeline
-        // caps at TIMELINE_CAP samples; `samples_total` keeps counting so
-        // the report can tell a capped timeline from a complete one.
-        let mut timeline: Vec<QueueSample> = Vec::new();
-        let mut samples_total = 0usize;
-        let mut max_depth = 0usize;
-        let mut depth_integral = 0.0f64;
-        let mut last_event = t0;
-
         // Arrivals feed the heap lazily — popping arrival i schedules
         // arrival i+1 — so the heap never holds more than
         // (in-flight + 1) entries plus armed preemption timers.
         let mut events = EventQueue::new();
-        events.push_arrival(requests[0].arrival, 0, requests[0].id);
+        events.push_arrival(t0, 0, table.requests[0].id);
         let mut arrivals_done = false;
 
         // The whole fault plan is scheduled up-front: fault times are
@@ -657,8 +653,8 @@ impl<'a> Simulation<'a> {
                 counters.events_by_kind[event.kind_index()] += 1;
                 match event {
                     Event::Arrival { index } => {
-                        if index + 1 < requests.len() {
-                            let r = &requests[index + 1];
+                        if index + 1 < table.requests.len() {
+                            let r = &table.requests[index + 1];
                             events.push_arrival(r.arrival, index + 1, r.id);
                         } else {
                             arrivals_done = true;
@@ -678,7 +674,7 @@ impl<'a> Simulation<'a> {
                             if live {
                                 sink.shed(now, request);
                             }
-                            accum.reject(*request);
+                            report.reject(request);
                         }
                     }
                     Event::Completion {
@@ -736,7 +732,7 @@ impl<'a> Simulation<'a> {
                                         if live {
                                             sink.fan_in(now, &record);
                                         }
-                                        accum.complete(record);
+                                        report.complete(&record);
                                     } else {
                                         // More steps owed. The remnant
                                         // re-enters dispatch when this
@@ -1200,7 +1196,8 @@ impl<'a> Simulation<'a> {
             // 4½. Gauge sample for sinks and streaming telemetry — the
             // O(cards) fleet scan is skipped entirely on the default
             // (NullSink, Exact) path.
-            if live || matches!(accum, Accum::Streaming(_)) {
+            let buckets = report.gauge_buckets();
+            if live || buckets.is_some() {
                 let gauges = GaugeSample {
                     queue_depth: queue.len(),
                     in_flight_shards: live_shards,
@@ -1211,8 +1208,8 @@ impl<'a> Simulation<'a> {
                 if live {
                     sink.gauges(now, &gauges);
                 }
-                if let Accum::Streaming(stats) = &mut accum {
-                    stats.buckets.record(now, &gauges);
+                if let Some(buckets) = buckets {
+                    buckets.record(now, &gauges);
                 }
             }
 
@@ -1231,7 +1228,6 @@ impl<'a> Simulation<'a> {
         // waiting and no card to run it. Those requests fail: a terminal
         // state distinct from rejection (they were admitted) that keeps
         // the conservation law exact.
-        let mut failed: Vec<Request> = Vec::new();
         if !queue.is_empty() {
             assert!(
                 fleet.cards().iter().all(Card::dead),
@@ -1249,7 +1245,7 @@ impl<'a> Simulation<'a> {
                 if live {
                     sink.failed(last_event, &table.requests[fi]);
                 }
-                failed.push(table.requests[fi]);
+                report.fail(&table.requests[fi]);
             }
         }
         assert!(
@@ -1274,22 +1270,24 @@ impl<'a> Simulation<'a> {
             degrades: fault_degrades,
             revivals: fault_revivals,
             shards_lost: fault_shards_lost,
-            failed: failed.len(),
+            failed: report.failed(),
         });
         let cost_prediction = (priced_plans > 0).then_some(CostPrediction {
             plans: priced_plans,
             mean_abs_error_s: prediction_abs_error / priced_plans.max(1) as f64,
             max_error_s: prediction_max_error,
         });
-        let cards_of = |fleet: &Fleet, span: f64| -> Vec<CardSummary> {
-            fleet
-                .cards()
-                .iter()
-                .enumerate()
-                .map(|(i, c)| card_summary(i, c, span))
-                .collect()
-        };
-        let queue_of = |span: f64| QueueSummary {
+        assert_eq!(report.resolved(), table.requests.len());
+        // Folding from the first arrival keeps the span non-negative even
+        // when nothing completed (a fully-shed trace).
+        let span = t0.max(report.last_finish()) - t0;
+        let cards = fleet
+            .cards()
+            .iter()
+            .enumerate()
+            .map(|(i, c)| card_summary(i, c, span))
+            .collect();
+        let queue = QueueSummary {
             max_depth,
             mean_depth: if span > 0.0 {
                 depth_integral / span
@@ -1299,64 +1297,17 @@ impl<'a> Simulation<'a> {
             timeline,
             total_samples: samples_total,
         };
-
-        match accum {
-            Accum::Exact {
-                mut completed,
-                rejected,
-            } => {
-                assert_eq!(
-                    completed.len() + rejected.len() + failed.len(),
-                    requests.len()
-                );
-
-                // Stable output order regardless of completion
-                // interleaving.
-                completed.sort_by_key(|c: &crate::request::CompletedRequest| c.request.id);
-
-                // Folding from the first arrival keeps the span
-                // non-negative even when nothing completed (a fully-shed
-                // trace).
-                let makespan_end = completed
-                    .iter()
-                    .map(|c| c.finished)
-                    .fold(requests[0].arrival, f64::max);
-                let span = makespan_end - requests[0].arrival;
-                ServeReport::assemble(
-                    policy.name(),
-                    &self.arrivals_label,
-                    &completed,
-                    &rejected,
-                    &failed,
-                    queue_of(span),
-                    cards_of(&fleet, span),
-                    preemptions,
-                    scaling,
-                    cost_prediction,
-                    faults,
-                    placements,
-                )
-            }
-            Accum::Streaming(stats) => {
-                assert_eq!(
-                    stats.completed + stats.rejected + failed.len(),
-                    requests.len()
-                );
-                let makespan_end = requests[0].arrival.max(stats.last_finish);
-                let span = makespan_end - requests[0].arrival;
-                stats.into_report(
-                    policy.name(),
-                    &self.arrivals_label,
-                    failed.len(),
-                    queue_of(span),
-                    cards_of(&fleet, span),
-                    preemptions,
-                    scaling,
-                    cost_prediction,
-                    faults,
-                )
-            }
-        }
+        report.finish(
+            policy.name(),
+            &self.arrivals_label,
+            queue,
+            cards,
+            preemptions,
+            scaling,
+            cost_prediction,
+            faults,
+            placements,
+        )
     }
 
     /// Checkpoints-and-requeues one in-flight background **shard**
@@ -1518,201 +1469,6 @@ impl<'a> Simulation<'a> {
     }
 }
 
-/// How a run accumulates its completions: the Exact path keeps every
-/// record (the original behaviour — exact percentiles, byte-identical
-/// JSON), the Streaming path folds each into fixed-memory sketches at
-/// fan-in.
-enum Accum {
-    /// Keep everything; assemble at the end.
-    Exact {
-        completed: Vec<CompletedRequest>,
-        rejected: Vec<Request>,
-    },
-    /// Fixed-memory streaming aggregates (boxed: the P² sketches make it
-    /// an order of magnitude bigger than the Exact variant's two Vecs).
-    Streaming(Box<StreamingAccum>),
-}
-
-impl Accum {
-    fn complete(&mut self, record: CompletedRequest) {
-        match self {
-            Accum::Exact { completed, .. } => completed.push(record),
-            Accum::Streaming(stats) => stats.complete(&record),
-        }
-    }
-
-    fn reject(&mut self, request: Request) {
-        match self {
-            Accum::Exact { rejected, .. } => rejected.push(request),
-            Accum::Streaming(stats) => stats.reject(&request),
-        }
-    }
-}
-
-/// Per-class streaming aggregates (see [`StreamingAccum`]).
-struct ClassAccum {
-    completed: usize,
-    rejected: usize,
-    slo_violations: usize,
-    latency: StreamingSummary,
-}
-
-impl ClassAccum {
-    fn new() -> ClassAccum {
-        ClassAccum {
-            completed: 0,
-            rejected: 0,
-            slo_violations: 0,
-            latency: StreamingSummary::new(),
-        }
-    }
-}
-
-/// The fixed-memory accumulator behind [`TelemetryMode::Streaming`]:
-/// running counts, P² latency sketches (overall and per class), the
-/// shard-width histogram, and the bounded gauge histogram — nothing here
-/// grows with trace length.
-struct StreamingAccum {
-    completed: usize,
-    rejected: usize,
-    slo_violations: usize,
-    sharded_requests: usize,
-    /// `shard_widths[w - 1]` completions at peak width `w` (grows to the
-    /// widest plan seen, bounded by pipelines per card group).
-    shard_widths: Vec<usize>,
-    latency: StreamingSummary,
-    classes: [ClassAccum; RequestClass::ALL.len()],
-    /// Earliest arrival among completions (`∞` until one completes).
-    first_arrival: f64,
-    /// Latest fan-in among completions (`0` until one completes, matching
-    /// [`ServeReport::assemble`]'s fold).
-    last_finish: f64,
-    /// The bounded time-bucketed gauge histogram.
-    buckets: TimeBuckets,
-}
-
-impl StreamingAccum {
-    fn new() -> StreamingAccum {
-        StreamingAccum {
-            completed: 0,
-            rejected: 0,
-            slo_violations: 0,
-            sharded_requests: 0,
-            shard_widths: Vec::new(),
-            latency: StreamingSummary::new(),
-            classes: [ClassAccum::new(), ClassAccum::new(), ClassAccum::new()],
-            first_arrival: f64::INFINITY,
-            last_finish: 0.0,
-            buckets: TimeBuckets::new(),
-        }
-    }
-
-    fn complete(&mut self, record: &CompletedRequest) {
-        self.completed += 1;
-        let latency = record.latency();
-        self.latency.observe(latency);
-        let class = &mut self.classes[record.request.class.rank() as usize];
-        class.completed += 1;
-        class.latency.observe(latency);
-        if !record.met_slo() {
-            self.slo_violations += 1;
-            class.slo_violations += 1;
-        }
-        let width = record.shards as usize;
-        if width > 1 {
-            self.sharded_requests += 1;
-        }
-        if self.shard_widths.len() < width {
-            self.shard_widths.resize(width, 0);
-        }
-        self.shard_widths[width - 1] += 1;
-        self.first_arrival = self.first_arrival.min(record.request.arrival);
-        self.last_finish = self.last_finish.max(record.finished);
-    }
-
-    fn reject(&mut self, request: &Request) {
-        self.rejected += 1;
-        self.classes[request.class.rank() as usize].rejected += 1;
-    }
-
-    /// Builds the report from the sketches — the same shape
-    /// [`ServeReport::assemble`] produces, with percentiles estimated
-    /// instead of exact and the gauge histogram attached as `telemetry`.
-    /// Session summaries are unavailable in streaming mode (per-session
-    /// state is unbounded), so `sessions` stays `None`.
-    #[allow(clippy::too_many_arguments)]
-    fn into_report(
-        self,
-        policy: &str,
-        arrivals: &str,
-        failed: usize,
-        queue: QueueSummary,
-        cards: Vec<CardSummary>,
-        preemptions: Vec<PreemptionRecord>,
-        scaling: Vec<ScaleEvent>,
-        cost_prediction: Option<CostPrediction>,
-        faults: Option<FaultSummary>,
-    ) -> ServeReport {
-        let makespan = if self.completed == 0 {
-            0.0
-        } else {
-            self.last_finish - self.first_arrival
-        };
-        let energy: f64 = cards.iter().map(|c| c.energy_joules).sum();
-        let idle_energy: f64 = cards.iter().map(|c| c.idle_energy_joules).sum();
-        let classes: Vec<ClassSummary> = RequestClass::ALL
-            .iter()
-            .zip(&self.classes)
-            .filter(|(_, acc)| acc.completed + acc.rejected > 0)
-            .map(|(&class, acc)| ClassSummary {
-                class,
-                offered: acc.completed + acc.rejected,
-                completed: acc.completed,
-                rejected: acc.rejected,
-                slo_violations: acc.slo_violations,
-                latency: acc.latency.summary(),
-            })
-            .collect();
-        let telemetry = TelemetrySummary {
-            bucket_seconds: self.buckets.width_seconds(),
-            buckets: self.buckets.rows(),
-        };
-        ServeReport {
-            policy: policy.to_string(),
-            arrivals: arrivals.to_string(),
-            offered: self.completed + self.rejected + failed,
-            completed: self.completed,
-            rejected: self.rejected,
-            failed,
-            sharded_requests: self.sharded_requests,
-            max_shards: self.shard_widths.len(),
-            shard_widths: self.shard_widths,
-            makespan,
-            throughput_rps: if makespan > 0.0 {
-                self.completed as f64 / makespan
-            } else {
-                0.0
-            },
-            latency: self.latency.summary(),
-            classes,
-            queue,
-            cards: cards.clone(),
-            groups: crate::metrics::GroupSummary::from_cards(&cards),
-            energy_joules: energy,
-            idle_energy_joules: idle_energy,
-            slo_violations: self.slo_violations,
-            preemptions,
-            scaling,
-            cost_prediction,
-            faults,
-            sessions: None,
-            decode: None,
-            placements: Vec::new(),
-            telemetry: Some(telemetry),
-        }
-    }
-}
-
 /// Null arena index: the end of a shard chain, the empty free list.
 const NIL: u32 = u32::MAX;
 
@@ -1828,10 +1584,21 @@ struct FlightTable {
 }
 
 impl FlightTable {
-    fn new(requests: &[Request], total_pipelines: usize) -> FlightTable {
+    /// Takes the trace as the working copy: a borrowed trace is copied,
+    /// an owned one used in place with its capacity rounded up to a
+    /// power of two, so back-to-back runs in one process reuse one heap
+    /// block size instead of fragmenting on a few requests' difference.
+    fn new(requests: Cow<'_, [Request]>, total_pipelines: usize) -> FlightTable {
+        let requests = match requests {
+            Cow::Borrowed(trace) => trace.to_vec(),
+            Cow::Owned(mut trace) => {
+                trace.reserve_exact(trace.len().next_power_of_two() - trace.len());
+                trace
+            }
+        };
         FlightTable {
-            requests: requests.to_vec(),
             flights: vec![FlightMeta::EMPTY; requests.len()],
+            requests,
             shards: ShardArena::with_capacity(total_pipelines),
             live: Vec::new(),
         }
@@ -2019,6 +1786,22 @@ mod tests {
             assert!(report.slo_violations <= report.completed);
             assert!(report.fleet_utilization() > 0.0 && report.fleet_utilization() <= 1.0);
         }
+    }
+
+    #[test]
+    fn owned_trace_runs_like_a_borrowed_one() {
+        let fleet = FleetConfig::standard(3);
+        let trace = crate::session::SessionTraffic {
+            arrivals: ArrivalProcess::poisson(30.0),
+            profile: crate::session::SessionProfile::standard(),
+            seed: 5,
+        }
+        .requests(300);
+        let sim = Simulation::new(&fleet).autoscale(AutoscalerConfig::standard());
+        let (borrowed, counted) = sim.run_profiled(&mut LeastLoaded, &trace);
+        let (owned, recounted) = sim.run_profiled(&mut LeastLoaded, trace.clone());
+        assert_eq!(borrowed.to_json().pretty(), owned.to_json().pretty());
+        assert_eq!(counted, recounted);
     }
 
     #[test]
@@ -2903,6 +2686,39 @@ mod tests {
         let json = report.to_json().pretty();
         assert!(json.contains("\"failed\""));
         assert!(!json.contains("NaN") && !json.contains("inf"));
+    }
+
+    #[test]
+    fn both_telemetry_modes_charge_stranded_requests_to_their_class() {
+        let fleet = FleetConfig::standard(1);
+        let requests = overload(9, 120);
+        let run = |mode| {
+            Simulation::new(&fleet)
+                .faults(crate::fault::FaultPlan::none().kill(requests[30].arrival, 0))
+                .telemetry(mode)
+                .run(&mut Fifo, &requests)
+        };
+        let (exact, streaming) = (run(TelemetryMode::Exact), run(TelemetryMode::Streaming));
+        assert!(exact.failed > 0);
+        for report in [&exact, &streaming] {
+            let offered: usize = report.classes.iter().map(|c| c.offered).sum();
+            assert_eq!(offered, report.offered, "class tallies include `failed`");
+        }
+        let counts = |r: &ServeReport| {
+            r.classes
+                .iter()
+                .map(|c| {
+                    (
+                        c.class,
+                        c.offered,
+                        c.completed,
+                        c.rejected,
+                        c.slo_violations,
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(counts(&exact), counts(&streaming));
     }
 
     #[test]

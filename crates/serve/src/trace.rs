@@ -24,15 +24,15 @@
 //!    card, one thread per pipeline, a complete span per shard, instant
 //!    events for preemptions and scaling decisions, and counter tracks for
 //!    the gauges. See `examples/serve_trace.rs`.
-//! 3. **Streaming telemetry** — [`TelemetryMode::Streaming`] replaces the
-//!    report's unbounded per-completion accumulation with fixed memory:
-//!    a [`P2Quantile`] estimator (Jain & Chlamtac's P² algorithm, five
+//! 3. **Streaming telemetry** — [`TelemetryMode::Exact`] (the default)
+//!    keeps one `f64` latency per completion (8 B; 24 B more per
+//!    session-tagged one) and sorts once for exact percentiles.
+//!    [`TelemetryMode::Streaming`] holds fixed memory instead: a
+//!    [`P2Quantile`] estimator (Jain & Chlamtac's P² algorithm, five
 //!    markers per quantile) behind each p50/p95/p99 field, and
 //!    [`TimeBuckets`] — a bounded, width-doubling time histogram of the
 //!    gauges that lands in the report as
 //!    [`TelemetrySummary`](crate::metrics::TelemetrySummary).
-//!    [`TelemetryMode::Exact`] (the default) keeps the original
-//!    sort-everything path and its byte-identical JSON guarantee.
 //!
 //! [Perfetto]: https://ui.perfetto.dev
 //!
@@ -56,8 +56,9 @@ use crate::scale::ScaleEvent;
 /// [`crate::sim::Simulation::telemetry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TelemetryMode {
-    /// Keep every completion and compute exact nearest-rank percentiles
-    /// (the default — all byte-identical-JSON guarantees hold).
+    /// Keep every completion's latency (8 B each) and compute exact
+    /// nearest-rank percentiles, plus the session and decode blocks (the
+    /// default — all byte-identical-JSON guarantees hold).
     #[default]
     Exact,
     /// Fixed-memory accumulation: P² streaming quantiles behind the

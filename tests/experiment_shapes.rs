@@ -1,8 +1,9 @@
 //! Shape assertions for every reproduced figure: these tests encode what
 //! the paper's evaluation *shows* (who wins, by roughly what factor, where
 //! crossovers fall), so a regression in any model breaks the reproduction
-//! visibly. EXPERIMENTS.md documents the paper-vs-measured numbers these
-//! tests pin down.
+//! visibly. `PAPER.md` states the paper's claims; the per-figure and
+//! per-table binaries in `crates/bench/src/bin` (`fig1`, `fig3`,
+//! `table2`, …) print the measured numbers these tests pin down.
 
 use swat::{SwatAccelerator, SwatConfig};
 use swat_baselines::butterfly::{swat_energy_ratio, swat_speedup, ButterflyAccelerator};
