@@ -100,7 +100,6 @@ fn main() {
         mix,
         seed,
     };
-    let label = |s: &TrafficSpec| format!("{}/{}", s.arrivals.name(), s.mix.name());
 
     // One scenario per serving regime, mirroring the serve_sweep cells so
     // the counters describe kernels the sweep actually exercises: a
@@ -120,7 +119,7 @@ fn main() {
     let scenarios = vec![
         Scenario {
             name: "homogeneous",
-            sim: Simulation::new(&homogeneous).arrivals_label(label(&poisson)),
+            sim: Simulation::new(&homogeneous).arrivals_label(poisson.label()),
             policy: Box::new(LeastLoaded),
             spec: poisson,
             count: requests,
@@ -129,7 +128,7 @@ fn main() {
         Scenario {
             name: "priority-shed",
             sim: Simulation::new(&homogeneous)
-                .arrivals_label(label(&overload))
+                .arrivals_label(overload.label())
                 .admission(AdmissionControl::shed_background_at(32)),
             policy: Box::new(LeastLoaded),
             spec: overload,
@@ -139,7 +138,7 @@ fn main() {
         Scenario {
             name: "preemption",
             sim: Simulation::new(&preemption_fleet)
-                .arrivals_label(label(&lulls))
+                .arrivals_label(lulls.label())
                 .preemption(PreemptionControl::after_wait(0.1)),
             policy: Box::new(LeastLoaded),
             spec: lulls,
@@ -149,7 +148,7 @@ fn main() {
         Scenario {
             name: "autoscale",
             sim: Simulation::new(&homogeneous)
-                .arrivals_label(label(&diurnal))
+                .arrivals_label(diurnal.label())
                 .autoscale(AutoscalerConfig::standard().with_min_cards(2)),
             policy: Box::new(LeastLoaded),
             spec: diurnal,
@@ -158,7 +157,7 @@ fn main() {
         },
         Scenario {
             name: "sharded-adaptive",
-            sim: Simulation::new(&sharded_fleet).arrivals_label(label(&light)),
+            sim: Simulation::new(&sharded_fleet).arrivals_label(light.label()),
             policy: Box::new(ShardedLeastLoaded::new(4)),
             spec: light,
             count: requests,
@@ -167,7 +166,7 @@ fn main() {
         Scenario {
             name: "homogeneous-streaming",
             sim: Simulation::new(&homogeneous)
-                .arrivals_label(label(&poisson))
+                .arrivals_label(poisson.label())
                 .telemetry(TelemetryMode::Streaming),
             policy: Box::new(LeastLoaded),
             spec: poisson,
@@ -180,7 +179,7 @@ fn main() {
         // one cell whose `step_complete` counter is non-zero.
         Scenario {
             name: "decode-loop",
-            sim: Simulation::new(&sharded_fleet).arrivals_label(label(&light)),
+            sim: Simulation::new(&sharded_fleet).arrivals_label(light.label()),
             policy: Box::new(ShardedShortestJobFirst::new(4)),
             spec: light,
             count: requests,
@@ -196,7 +195,7 @@ fn main() {
         // docs/serving.md tells readers to watch across PRs.
         Scenario {
             name: "headline",
-            sim: Simulation::new(&homogeneous).arrivals_label(label(&poisson)),
+            sim: Simulation::new(&homogeneous).arrivals_label(poisson.label()),
             policy: Box::new(LeastLoaded),
             spec: poisson,
             count: headline,

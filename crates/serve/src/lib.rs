@@ -91,7 +91,7 @@
 //! use swat_serve::arrival::ArrivalProcess;
 //! use swat_serve::fleet::FleetConfig;
 //! use swat_serve::policy::LeastLoaded;
-//! use swat_serve::sim::{simulate, TrafficSpec};
+//! use swat_serve::sim::{Simulation, TrafficSpec};
 //! use swat_workloads::RequestMix;
 //!
 //! let traffic = TrafficSpec {
@@ -101,7 +101,7 @@
 //! };
 //! // Four dual-pipeline FP16 cards next to two single-pipeline FP32 cards.
 //! let fleet = FleetConfig::mixed_precision(4, 2);
-//! let report = simulate(&fleet, &mut LeastLoaded, &traffic.requests(500), false);
+//! let report = Simulation::new(&fleet).run(&mut LeastLoaded, &traffic.requests(500));
 //! assert_eq!(report.completed, 500);
 //! let latency = report.latency.expect("every request completed");
 //! assert!(latency.p99 >= latency.p50);
@@ -136,9 +136,7 @@ pub use scenario::{
     PreemptionSpec, ScenarioSpec, TrafficModel,
 };
 pub use session::{SessionProfile, SessionTraffic};
-pub use sim::{
-    serve, simulate, AdmissionControl, DecodeBatching, PreemptionControl, Simulation, TrafficSpec,
-};
+pub use sim::{AdmissionControl, DecodeBatching, PreemptionControl, Simulation, TrafficSpec};
 pub use swat_workloads::RequestClass;
 pub use trace::{
     ChromeTraceSink, GaugeSample, KernelCounters, NullSink, RecordingSink, TelemetryMode,

@@ -6,7 +6,6 @@ use crate::json::Json;
 use crate::request::{CompletedRequest, Request};
 use crate::scale::ScaleEvent;
 use crate::trace::{StreamingSummary, TelemetryMode, TimeBuckets};
-use swat::schedule::Placement;
 use swat_workloads::RequestClass;
 
 /// Preemption-log entries serialized to JSON; the in-memory report keeps
@@ -620,8 +619,6 @@ pub struct ServeReport {
     /// (`None` when no plan fanned out — whole-request policies and
     /// `max_shards = 1` runs).
     pub cost_prediction: Option<CostPrediction>,
-    /// Per-job placements, when tracing was requested: `(card, placement)`.
-    pub placements: Vec<(usize, Placement)>,
     /// Streaming telemetry histogram, present only on
     /// [`TelemetryMode::Streaming`] runs
     /// (`None` under Exact, whose JSON must stay byte-identical).
@@ -673,7 +670,6 @@ impl ServeReport {
         scaling: Vec<ScaleEvent>,
         cost_prediction: Option<CostPrediction>,
         faults: Option<FaultSummary>,
-        placements: Vec<(usize, Placement)>,
     ) -> ServeReport {
         ReportBuilder::exact(completed, rejected, failed).finish(
             policy,
@@ -684,7 +680,6 @@ impl ServeReport {
             scaling,
             cost_prediction,
             faults,
-            placements,
         )
     }
 
@@ -1130,7 +1125,7 @@ impl ReportBuilder {
         self.last_finish
     }
 
-    /// Builds the report. `placements` is dropped in streaming mode.
+    /// Builds the report.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish(
         self,
@@ -1142,7 +1137,6 @@ impl ReportBuilder {
         scaling: Vec<ScaleEvent>,
         cost_prediction: Option<CostPrediction>,
         faults: Option<FaultSummary>,
-        placements: Vec<(usize, Placement)>,
     ) -> ServeReport {
         let tally = self.classes;
         let total = |count: fn(&ClassTally) -> usize| tally.iter().map(count).sum::<usize>();
@@ -1152,7 +1146,7 @@ impl ReportBuilder {
         } else {
             self.last_finish - self.first_arrival
         };
-        let (latency, class_latency, decode, telemetry, placements) = match self.backend {
+        let (latency, class_latency, decode, telemetry) = match self.backend {
             Backend::Exact(mut exact) => {
                 for v in &mut exact.latencies {
                     v.sort_unstable_by(f64::total_cmp);
@@ -1166,7 +1160,7 @@ impl ReportBuilder {
                 all.sort_by(f64::total_cmp);
                 let latency = (!all.is_empty()).then(|| LatencySummary::from_sorted(&all));
                 let decode = exact.decode_summary(&all);
-                (latency, class_latency, decode, None, placements)
+                (latency, class_latency, decode, None)
             }
             Backend::Streaming(s) => {
                 let class_latency = s.classes.each_ref().map(StreamingSummary::summary);
@@ -1175,7 +1169,7 @@ impl ReportBuilder {
                     buckets: s.buckets.rows(),
                 };
                 let latency = s.latency.summary();
-                (latency, class_latency, None, Some(telemetry), Vec::new())
+                (latency, class_latency, None, Some(telemetry))
             }
         };
         let classes = RequestClass::ALL.iter().zip(tally).zip(class_latency);
@@ -1216,7 +1210,6 @@ impl ReportBuilder {
             preemptions,
             scaling,
             cost_prediction,
-            placements,
             telemetry,
             failed: total(|t| t.failed),
             faults,
@@ -1310,7 +1303,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         assert_eq!(report.completed, 3);
         assert_eq!(report.offered, 3);
@@ -1371,7 +1363,6 @@ mod tests {
             }],
             None,
             None,
-            Vec::new(),
         );
         assert_eq!(report.preemption_count(), 1);
         let json = report.to_json().pretty();
@@ -1402,7 +1393,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         assert_eq!(report.offered, 2);
         assert_eq!(report.completed, 1);
@@ -1440,7 +1430,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         assert_eq!(
             (report.offered, report.completed, report.rejected),
@@ -1473,7 +1462,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         assert_eq!(vacuous.slo_attainment(), 1.0);
     }
@@ -1503,7 +1491,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         assert_eq!(report.slo_violations, 0, "the one completion was on time");
         assert!((report.slo_attainment() - 0.1).abs() < 1e-12);
@@ -1531,7 +1518,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         assert_eq!(report.sharded_requests, 1);
         assert_eq!(report.max_shards, 3);
@@ -1561,7 +1547,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         assert_eq!(narrow.shard_widths, [1]);
         let json = narrow.to_json().pretty();
@@ -1592,7 +1577,6 @@ mod tests {
                 max_error_s: 0.0,
             }),
             None,
-            Vec::new(),
         );
         assert_eq!(fanned.shard_widths, [1, 0, 1]);
         let json = fanned.to_json().pretty();
@@ -1631,7 +1615,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         let json = report.to_json().pretty();
         // The full count stays exact, the log caps, and the cap declares
@@ -1672,7 +1655,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         let json = report.to_json().pretty();
         assert!(!json.contains("_meta"), "uncapped logs stay byte-identical");
@@ -1720,7 +1702,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         assert_eq!(report.telemetry, None, "assemble is the Exact path");
         let json = report.to_json().pretty();
@@ -1767,7 +1748,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         let json = report.to_json().pretty();
         assert!(!json.contains("\"faults\""), "fault-free JSON is untouched");
@@ -1815,7 +1795,6 @@ mod tests {
                 shards_lost: 0,
                 failed: 1,
             }),
-            Vec::new(),
         );
         assert_eq!((report.offered, report.completed, report.failed), (2, 1, 1));
         assert!((report.slo_attainment() - 0.5).abs() < 1e-12);
@@ -1904,7 +1883,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         );
         let json = report.to_json().pretty();
         assert!(json.contains("\"sessions\""));

@@ -6,7 +6,7 @@
 //! card has an idle pipeline — the simulator never preempts). Policies see
 //! only [`CardView`] snapshots, so they cannot depend on simulator
 //! internals, and anything implementing the trait plugs into
-//! [`crate::sim::simulate`] unchanged.
+//! [`Simulation::run`](crate::sim::Simulation::run) unchanged.
 //!
 //! The queue handed to a policy is **priority-ordered**: higher classes
 //! first, arrival order within a class (see

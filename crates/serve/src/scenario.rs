@@ -910,10 +910,17 @@ impl ScenarioSpec {
     /// labels the hand-coded sweep used.
     pub fn arrivals_label(&self) -> String {
         match &self.traffic {
-            TrafficModel::Mix { mix, .. } => {
-                format!("{}/{}", self.arrivals.name(), mix.name())
-            }
+            TrafficModel::Mix { mix, .. } => self.mix_traffic(*mix).label(),
             TrafficModel::Sessions { .. } => format!("{}/sessions", self.arrivals.name()),
+        }
+    }
+
+    /// This spec's arrivals and seed drawing shapes from `mix`.
+    fn mix_traffic(&self, mix: RequestMix) -> TrafficSpec {
+        TrafficSpec {
+            arrivals: self.arrivals,
+            mix,
+            seed: self.seed,
         }
     }
 
@@ -922,11 +929,7 @@ impl ScenarioSpec {
     pub fn trace(&self) -> Vec<Request> {
         match &self.traffic {
             TrafficModel::Mix { mix, decode } => {
-                let spec = TrafficSpec {
-                    arrivals: self.arrivals,
-                    mix: *mix,
-                    seed: self.seed,
-                };
+                let spec = self.mix_traffic(*mix);
                 match decode {
                     None => spec.requests(self.requests),
                     Some(d) => spec.decode_requests(self.requests, d),

@@ -77,6 +77,11 @@ pub struct TrafficSpec {
 }
 
 impl TrafficSpec {
+    /// The report's arrivals label for this stream: `"{process}/{mix}"`.
+    pub fn label(&self) -> String {
+        format!("{}/{}", self.arrivals.name(), self.mix.name())
+    }
+
     /// The first `n` requests of this traffic stream.
     pub fn requests(&self, n: usize) -> Vec<Request> {
         let times = self.arrivals.times(n, self.seed);
@@ -268,10 +273,9 @@ impl PreemptionControl {
 /// truncated (max/mean remain exact) so 10⁵-request sweeps stay small.
 const TIMELINE_CAP: usize = 4096;
 
-/// A configured simulation: fleet plus run options. The builder exists so
-/// callers of [`Simulation::run`] control what the old hard-coded pieces
-/// of `simulate` were — the report's arrivals label (no more `"trace"`
-/// patched after the fact), tracing, and admission control.
+/// A configured simulation: fleet plus run options — the report's
+/// arrivals label, admission control, preemption, autoscaling, faults,
+/// telemetry and decode batching.
 ///
 /// # Examples
 ///
@@ -298,7 +302,6 @@ const TIMELINE_CAP: usize = 4096;
 pub struct Simulation<'a> {
     fleet: &'a FleetConfig,
     arrivals_label: String,
-    trace: bool,
     admission: AdmissionControl,
     preemption: PreemptionControl,
     autoscale: Option<AutoscalerConfig>,
@@ -339,14 +342,14 @@ impl DecodeBatching {
 }
 
 impl<'a> Simulation<'a> {
-    /// A simulation of `fleet` with default options: label `"trace"`, no
-    /// placement tracing, admit everything, never preempt, no autoscaler
-    /// (every card powered for the whole run).
+    /// A simulation of `fleet` with default options: label `"trace"`,
+    /// admit everything, never preempt, no autoscaler (every card powered
+    /// for the whole run), no faults, exact telemetry, continuous decode
+    /// batching.
     pub fn new(fleet: &'a FleetConfig) -> Simulation<'a> {
         Simulation {
             fleet,
             arrivals_label: "trace".to_string(),
-            trace: false,
             admission: AdmissionControl::admit_all(),
             preemption: PreemptionControl::disabled(),
             autoscale: None,
@@ -359,14 +362,6 @@ impl<'a> Simulation<'a> {
     /// Sets the report's `arrivals` label (what generated the trace).
     pub fn arrivals_label(mut self, label: impl Into<String>) -> Simulation<'a> {
         self.arrivals_label = label.into();
-        self
-    }
-
-    /// Records one [`Placement`](swat::schedule::Placement) per attention
-    /// job — orders of magnitude more memory, meant for tests and small
-    /// replays.
-    pub fn trace(mut self, trace: bool) -> Simulation<'a> {
-        self.trace = trace;
         self
     }
 
@@ -411,8 +406,7 @@ impl<'a> Simulation<'a> {
     /// behind the p50/p95/p99 fields plus a bounded time-bucketed gauge
     /// histogram attached as [`ServeReport::telemetry`]. The *schedule*
     /// is bitwise identical either way; only the report's summary
-    /// statistics are approximated (and `placements` tracing is
-    /// unavailable, as it is itself unbounded).
+    /// statistics are approximated.
     pub fn telemetry(mut self, mode: TelemetryMode) -> Simulation<'a> {
         self.telemetry = mode;
         self
@@ -438,14 +432,16 @@ impl<'a> Simulation<'a> {
     /// # Panics
     ///
     /// Panics if `requests` is empty, not sorted by arrival time, or
-    /// (in debug builds, where the O(n) uniqueness scan runs) contains
-    /// duplicate ids (ids must be unique — the dispatch queue and
-    /// the event heap break ties by id, so duplicates would make the
-    /// schedule ambiguous); or if the fleet configuration is invalid. A
-    /// trace shed in its entirety by admission control is fine: the
-    /// report comes back with zero completions and finite metrics.
+    /// contains duplicate ids (ids must be unique — the dispatch queue
+    /// and the event heap break ties by id, so duplicates would make the
+    /// schedule ambiguous; an O(n) bitmap pass checks this in every
+    /// build profile); or if the fleet configuration is invalid. A trace
+    /// shed in its entirety by admission control is fine: the report
+    /// comes back with zero completions and finite metrics.
     pub fn run(&self, policy: &mut dyn DispatchPolicy, requests: &[Request]) -> ServeReport {
-        self.run_traced(policy, requests, &mut NullSink)
+        Kernel::new(self, Cow::Borrowed(requests), &mut NullSink)
+            .run(policy)
+            .0
     }
 
     /// Like [`Simulation::run`], with a [`TraceSink`] observing every
@@ -464,8 +460,9 @@ impl<'a> Simulation<'a> {
         requests: &[Request],
         sink: &mut dyn TraceSink,
     ) -> ServeReport {
-        let mut counters = KernelCounters::default();
-        self.run_inner(policy, Cow::Borrowed(requests), sink, &mut counters)
+        Kernel::new(self, Cow::Borrowed(requests), sink)
+            .run(policy)
+            .0
     }
 
     /// Like [`Simulation::run`], additionally returning the kernel's
@@ -484,66 +481,101 @@ impl<'a> Simulation<'a> {
         policy: &mut dyn DispatchPolicy,
         requests: impl Into<Cow<'r, [Request]>>,
     ) -> (ServeReport, KernelCounters) {
-        let mut counters = KernelCounters::default();
-        let report = self.run_inner(policy, requests.into(), &mut NullSink, &mut counters);
-        (report, counters)
+        Kernel::new(self, requests.into(), &mut NullSink).run(policy)
     }
+}
 
-    fn run_inner(
-        &self,
-        policy: &mut dyn DispatchPolicy,
+/// One run's state: the fleet, the event heap, the waiting queue, the
+/// flight arena, and every accumulator the report folds. Each event kind
+/// has one handler; [`Kernel::dispatch`] follows every event batch and
+/// [`Kernel::finish`] folds the report. A shard enters service only
+/// through [`Kernel::admit_shard`] and an evicted shard's tail re-enters
+/// the queue only through [`Kernel::requeue_remnant`].
+struct Kernel<'k> {
+    sim: &'k Simulation<'k>,
+    sink: &'k mut dyn TraceSink,
+    /// Whether hooks fire at all: the default NullSink opts out, so the
+    /// untraced path pays nothing beyond this one bool.
+    live: bool,
+    counters: KernelCounters,
+    fleet: Fleet,
+    /// The shared predictive cost model: the same per-card timing the
+    /// cards charge, snapshotted for the planner (policies price shard
+    /// plans against it, cost-aware preemption prices victims). A
+    /// degrade fault re-snapshots it, so planning keeps charging exactly
+    /// what admission charges.
+    cost: CostModel,
+    scaler: Option<Autoscaler>,
+    /// Arrivals feed the heap lazily — popping arrival i schedules
+    /// arrival i+1 — so the heap never holds more than (in-flight + 1)
+    /// entries plus armed preemption timers and the fault plan.
+    events: EventQueue,
+    arrivals_done: bool,
+    queue: PriorityQueue,
+    /// The arena: one working copy of every request plus its flat fan-in
+    /// row, and the shard-slot slab. Every lookup is a dense index
+    /// carried by the event itself. Eviction removes shard slots; a
+    /// completion whose shard id no longer matches a live slot is a
+    /// tombstone and is dropped at delivery.
+    table: FlightTable,
+    /// One snapshot per card, maintained incrementally. A card is
+    /// recomputed only when an event marked it `stale` or its last
+    /// snapshot still carried backlog (backlog decays with time; a
+    /// zero-backlog card cannot change without an event naming it —
+    /// every admission, completion, eviction, warm-up, and scaling
+    /// decision marks its card).
+    views: Vec<CardView>,
+    stale: Vec<bool>,
+    total_pipelines: usize,
+    /// Shards currently executing — maintained incrementally so gauge
+    /// samples never scan the fan-in table.
+    live_shards: usize,
+    report: ReportBuilder,
+    t0: f64,
+    last_event: f64,
+    /// Queue-depth integral for the time-weighted mean. The timeline
+    /// caps at TIMELINE_CAP samples; `samples_total` keeps counting so
+    /// the report can tell a capped timeline from a complete one.
+    depth_integral: f64,
+    max_depth: usize,
+    timeline: Vec<QueueSample>,
+    samples_total: usize,
+    preemptions: Vec<PreemptionRecord>,
+    /// Per-dispatch scratch for the plan's per-card shard counts (the
+    /// claim asserts) and planned stream counts (the contention each
+    /// admission is charged) — no allocation per dispatch.
+    claim_scratch: Vec<(usize, usize)>,
+    stream_scratch: Vec<(usize, usize)>,
+    /// Predicted-vs-realized fan-in error over multi-shard plans: the
+    /// live audit that admission charges what the planner priced.
+    priced_plans: usize,
+    prediction_abs_error: f64,
+    prediction_max_error: f64,
+    /// Delivered-fault counters for the report's `faults` block
+    /// (`failed` is filled in when the run settles).
+    faults: FaultSummary,
+    /// The shards a death evicts, collected before the table is mutated.
+    death_victims: Vec<(u32, u32)>,
+}
+
+impl<'k> Kernel<'k> {
+    /// Validates the trace and sets up one run: the built fleet and its
+    /// power state, the first arrival, and the whole fault plan.
+    fn new(
+        sim: &'k Simulation<'k>,
         requests: Cow<'_, [Request]>,
-        sink: &mut dyn TraceSink,
-        counters: &mut KernelCounters,
-    ) -> ServeReport {
+        sink: &'k mut dyn TraceSink,
+    ) -> Kernel<'k> {
         assert!(!requests.is_empty(), "cannot simulate zero requests");
         assert!(
             requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
             "requests must be sorted by arrival"
         );
-        // Id uniqueness is validated only in debug builds: real traffic
-        // generators number requests densely, and the sort this check
-        // once paid is pure overhead on the million-request release path.
-        #[cfg(debug_assertions)]
-        {
-            // O(n) bitmap for the common dense-id case; arbitrary ids
-            // fall back to the sort.
-            let n = requests.len();
-            let mut seen = vec![false; n];
-            let mut dense = true;
-            for r in requests.iter() {
-                match usize::try_from(r.id).ok().filter(|&i| i < n) {
-                    Some(i) => {
-                        assert!(
-                            !seen[i],
-                            "request ids must be unique (the kernel's tie-breaking orders by id)"
-                        );
-                        seen[i] = true;
-                    }
-                    None => {
-                        dense = false;
-                        break;
-                    }
-                }
-            }
-            if !dense {
-                let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
-                ids.sort_unstable();
-                assert!(
-                    ids.windows(2).all(|w| w[0] != w[1]),
-                    "request ids must be unique (the kernel's tie-breaking orders by id)"
-                );
-            }
-        }
-        let mut fleet: Fleet = self.fleet.build().expect("invalid fleet configuration");
-        // The shared predictive cost model: the same per-card timing the
-        // cards charge, snapshotted for the planner (policies price shard
-        // plans against it, cost-aware preemption prices victims). A
-        // degrade fault re-snapshots it, so planning keeps charging
-        // exactly what admission charges.
-        let mut cost = CostModel::for_fleet(&fleet);
+        assert_unique_ids(&requests);
+        let mut fleet: Fleet = sim.fleet.build().expect("invalid fleet configuration");
+        let cost = CostModel::for_fleet(&fleet);
         let t0 = requests[0].arrival;
-        let mut scaler = self.autoscale.map(Autoscaler::new);
+        let mut scaler = sim.autoscale.map(Autoscaler::new);
         match scaler.as_mut() {
             Some(s) => s.begin(&mut fleet, t0),
             None => {
@@ -552,73 +584,29 @@ impl<'a> Simulation<'a> {
                 }
             }
         }
-
-        let mut queue = PriorityQueue::new();
-        // Whether hooks fire at all: the default NullSink opts out, so
-        // the untraced path pays nothing beyond this one bool.
+        let queue = PriorityQueue::new();
         let live = sink.enabled();
         let total_pipelines = fleet.total_pipelines();
-        // Shards currently executing — maintained incrementally so gauge
-        // samples never scan the fan-in table.
-        let mut live_shards = 0usize;
-        // Queue-depth integral for the time-weighted mean. The timeline
-        // caps at TIMELINE_CAP samples; `samples_total` keeps counting so
-        // the report can tell a capped timeline from a complete one. The
-        // report keeps it, so it is allocated whole, before the arena.
-        let mut timeline: Vec<QueueSample> = Vec::with_capacity(TIMELINE_CAP);
-        let mut samples_total = 0usize;
-        let mut max_depth = 0usize;
-        let mut depth_integral = 0.0f64;
-        let mut last_event = t0;
-        let mut report = ReportBuilder::new(self.telemetry);
-        let mut placements: Vec<(usize, swat::schedule::Placement)> = Vec::new();
-        let mut scratch: Vec<swat::schedule::Placement> = Vec::new();
-        // Reusable CardView scratch: one snapshot per card, maintained
-        // incrementally. A card is recomputed only when an event marked
-        // it `stale` or its last snapshot still carried backlog (backlog
-        // decays with time; a zero-backlog card cannot change without an
-        // event naming it — every admission, completion, eviction,
-        // warm-up, and scaling decision marks its card).
-        let mut views: Vec<CardView> = fleet
+        // The report keeps the timeline, so it is allocated whole, before
+        // the arena.
+        let timeline = Vec::with_capacity(TIMELINE_CAP);
+        let report = ReportBuilder::new(sim.telemetry);
+        let views: Vec<CardView> = fleet
             .cards()
             .iter()
             .enumerate()
             .map(|(i, c)| card_view(i, c, t0))
             .collect();
-        let mut stale: Vec<bool> = vec![false; views.len()];
-        // The arena: one working copy of every request plus its flat
-        // fan-in row, and the shard-slot slab. Replaces the per-run
-        // id-keyed tree — every lookup is a dense index carried by the
-        // event itself. Preemption removes shard slots; a completion
-        // whose shard id no longer matches a live slot is a tombstone and
-        // is dropped at delivery.
-        let mut table = FlightTable::new(requests, total_pipelines);
-        let mut preemptions: Vec<PreemptionRecord> = Vec::new();
-        // Reusable per-dispatch scratch for the plan's per-card shard
-        // counts (the claim asserts) and planned stream counts (the
-        // contention each admission is charged) — no tree allocation per
-        // dispatch.
-        let mut claim_scratch: Vec<(usize, usize)> = Vec::new();
-        let mut stream_scratch: Vec<(usize, usize)> = Vec::new();
-        // Predicted-vs-realized fan-in error over multi-shard plans: the
-        // live audit that admission charges what the planner priced.
-        let mut priced_plans = 0usize;
-        let mut prediction_abs_error = 0.0f64;
-        let mut prediction_max_error = 0.0f64;
-
-        // Arrivals feed the heap lazily — popping arrival i schedules
-        // arrival i+1 — so the heap never holds more than
-        // (in-flight + 1) entries plus armed preemption timers.
+        let stale = vec![false; views.len()];
+        let table = FlightTable::new(requests, total_pipelines);
         let mut events = EventQueue::new();
         events.push_arrival(t0, 0, table.requests[0].id);
-        let mut arrivals_done = false;
-
         // The whole fault plan is scheduled up-front: fault times are
         // fixed by the plan, not by simulation state, so they belong in
         // the heap from the start. Times before the first arrival clamp
         // to it (a fault cannot precede the trace).
-        self.faults.validate(fleet.cards().len());
-        for f in self.faults.events() {
+        sim.faults.validate(fleet.cards().len());
+        for f in sim.faults.events() {
             let time = f.time.max(t0);
             match f.kind {
                 FaultKind::Death => events.push_card_death(time, f.card),
@@ -626,23 +614,58 @@ impl<'a> Simulation<'a> {
                 FaultKind::Revive { warmup_s } => events.push_card_revive(time, f.card, warmup_s),
             }
         }
-        // Delivered-fault counters for the report's `faults` block.
-        let mut fault_deaths = 0u64;
-        let mut fault_degrades = 0u64;
-        let mut fault_revivals = 0u64;
-        let mut fault_shards_lost = 0u64;
-        // Scratch for the shards a death evicts (collected before the
-        // table is mutated).
-        let mut death_victims: Vec<(u32, u32)> = Vec::new();
+        Kernel {
+            sim,
+            sink,
+            live,
+            counters: KernelCounters::default(),
+            fleet,
+            cost,
+            scaler,
+            events,
+            arrivals_done: false,
+            queue,
+            table,
+            views,
+            stale,
+            total_pipelines,
+            live_shards: 0,
+            report,
+            t0,
+            last_event: t0,
+            depth_integral: 0.0,
+            max_depth: 0,
+            timeline,
+            samples_total: 0,
+            preemptions: Vec::new(),
+            claim_scratch: Vec::new(),
+            stream_scratch: Vec::new(),
+            priced_plans: 0,
+            prediction_abs_error: 0.0,
+            prediction_max_error: 0.0,
+            faults: FaultSummary {
+                card_deaths: 0,
+                degrades: 0,
+                revivals: 0,
+                shards_lost: 0,
+                failed: 0,
+            },
+            death_victims: Vec::new(),
+        }
+    }
 
-        while let Some((now, first)) = events.pop() {
+    /// Drives the event loop until the outcome is final, then folds the
+    /// report.
+    fn run(mut self, policy: &mut dyn DispatchPolicy) -> (ServeReport, KernelCounters) {
+        while let Some((now, first)) = self.events.pop() {
             // +1 for the entry just popped: the heap's peak population
             // includes the event being delivered.
-            counters.peak_event_heap = counters.peak_event_heap.max(events.len() + 1);
+            self.counters.peak_event_heap =
+                self.counters.peak_event_heap.max(self.events.len() + 1);
 
             // 1. Account the queue integral up to `now`.
-            depth_integral += queue.len() as f64 * (now - last_event);
-            last_event = now;
+            self.depth_integral += self.queue.len() as f64 * (now - self.last_event);
+            self.last_event = now;
 
             // 2. Deliver this event and every other event due at exactly
             //    `now` (the heap already orders ties Arrival < Completion
@@ -650,563 +673,72 @@ impl<'a> Simulation<'a> {
             //    before dispatching.
             let mut next = Some(first);
             while let Some(event) = next {
-                counters.events_by_kind[event.kind_index()] += 1;
+                self.counters.events_by_kind[event.kind_index()] += 1;
                 match event {
-                    Event::Arrival { index } => {
-                        if index + 1 < table.requests.len() {
-                            let r = &table.requests[index + 1];
-                            events.push_arrival(r.arrival, index + 1, r.id);
-                        } else {
-                            arrivals_done = true;
-                        }
-                        let request = &table.requests[index];
-                        if live {
-                            sink.arrival(now, request);
-                        }
-                        if self.admission.admits(request.class, queue.len()) {
-                            queue.push(request, index as u32);
-                            if let Some(threshold) = self.preemption.wait_threshold_s {
-                                if request.class == RequestClass::Interactive {
-                                    events.push_preemption(now + threshold, request.id);
-                                }
-                            }
-                        } else {
-                            if live {
-                                sink.shed(now, request);
-                            }
-                            report.reject(request);
-                        }
-                    }
+                    Event::Arrival { index } => self.arrival(now, index),
                     Event::Completion {
                         id, shard, index, ..
-                    } => {
-                        // Find the shard's live slot via the dense index
-                        // the event carries; a missing slot is the stale
-                        // timer of a preempted shard — drop it.
-                        let fi = index as usize;
-                        debug_assert_eq!(table.requests[fi].id, id);
-                        let mut live_slot = false;
-                        if table.flights[fi].live {
-                            if let Some(slot) = table.unlink_shard(fi, shard) {
-                                live_slot = true;
-                                live_shards -= 1;
-                                stale[slot.card] = true;
-                                if live {
-                                    sink.shard_finish(
-                                        now,
-                                        id,
-                                        slot.shard,
-                                        slot.card,
-                                        slot.pipeline,
-                                    );
-                                }
-                                let meta = &table.flights[fi];
-                                if meta.shard_count == 0 && meta.queued_jobs == 0 {
-                                    // Fan-in: the current decode step's
-                                    // last outstanding shard drained.
-                                    table.requests[fi].steps_done += 1;
-                                    if table.requests[fi].steps_done == 1 {
-                                        table.flights[fi].first_step_finish = now;
-                                    }
-                                    let request = &table.requests[fi];
-                                    let finished_naturally =
-                                        request.steps_done >= request.decode.steps;
-                                    // `exits_after` never draws for a
-                                    // zero-probability plan, so one-shot
-                                    // traffic touches no RNG here.
-                                    let exits = !finished_naturally
-                                        && request.decode.exits_after(request.steps_done - 1);
-                                    if finished_naturally || exits {
-                                        let meta = &table.flights[fi];
-                                        let record = CompletedRequest {
-                                            request: *request,
-                                            dispatched: meta.dispatched,
-                                            finished: now,
-                                            first_step_finished: meta.first_step_finish,
-                                            card: slot.card,
-                                            pipeline: slot.pipeline,
-                                            shards: meta.max_width,
-                                        };
-                                        table.flights[fi].live = false;
-                                        table.remove_live(index);
-                                        if live {
-                                            sink.fan_in(now, &record);
-                                        }
-                                        report.complete(&record);
-                                    } else {
-                                        // More steps owed. The remnant
-                                        // re-enters dispatch when this
-                                        // StepComplete delivers — ordered
-                                        // after every completion at `now`
-                                        // and before any preemption,
-                                        // scaling, or fault. The flight
-                                        // stays live with an empty shard
-                                        // chain, keeping the termination
-                                        // check honest.
-                                        events.push_step_complete(now, slot.card, id, index);
-                                    }
-                                }
-                            }
-                        }
-                        if !live_slot {
-                            counters.tombstoned_completions += 1;
-                        }
-                    }
+                    } => self.completion(now, id, shard, index),
                     Event::StepComplete { card, id, index } => {
-                        let fi = index as usize;
-                        debug_assert_eq!(table.requests[fi].id, id);
-                        debug_assert!(
-                            table.flights[fi].live && table.flights[fi].shard_count == 0,
-                            "a step boundary found shards still in flight"
-                        );
-                        // Rewind the job cursor: the next step re-runs
-                        // the full attention grid.
-                        let jobs = table.requests[fi].shape.jobs();
-                        table.requests[fi].jobs_done = 0;
-                        table.requests[fi].jobs_end = jobs;
-                        if live {
-                            sink.step_complete(now, id, table.requests[fi].steps_done, card);
-                        }
-                        let whole_job_card = match self.decode_batching {
-                            DecodeBatching::Continuous => None,
-                            DecodeBatching::WholeJob => {
-                                let c = &fleet.cards()[card];
-                                (c.dispatchable(now) && c.idle_pipelines(now) > 0).then_some(card)
-                            }
-                        };
-                        if let Some(card) = whole_job_card {
-                            // Whole-job queueing: re-admit the full next
-                            // step on the fan-in card without a queue
-                            // round trip. Kind ordering delivers this
-                            // event after every completion at `now` and
-                            // before any fault or scaling decision, so
-                            // the pipeline the step just freed is still
-                            // free and the card still alive; a dead or
-                            // parked card falls through to the queue.
-                            let streams = {
-                                let c = &fleet.cards()[card];
-                                c.pipelines() - c.idle_pipelines(now) + 1
-                            };
-                            counters.dispatches += 1;
-                            counters.shards_dispatched += 1;
-                            if live {
-                                sink.dispatch(now, &table.requests[fi], &[card], None);
-                            }
-                            scratch.clear();
-                            let admission = fleet.card_mut(card).admit_jobs(
-                                &table.requests[fi],
-                                0,
-                                jobs,
-                                streams,
-                                now,
-                                self.trace,
-                                &mut scratch,
-                            );
-                            table.requests[fi].pending_restart = false;
-                            if self.trace {
-                                placements.extend(scratch.drain(..).map(|p| (card, p)));
-                            }
-                            let shard = table.flights[fi].next_shard;
-                            table.flights[fi].next_shard += 1;
-                            table.flights[fi].dispatched = now;
-                            table.append_shard(
-                                fi,
-                                ShardSlot {
-                                    shard,
-                                    card,
-                                    pipeline: admission.pipeline,
-                                    dispatched: now,
-                                    first_job: 0,
-                                    jobs,
-                                    admission,
-                                },
-                            );
-                            live_shards += 1;
-                            if live {
-                                sink.shard_start(
-                                    now,
-                                    id,
-                                    shard,
-                                    card,
-                                    admission.pipeline,
-                                    jobs,
-                                    admission.finish,
-                                );
-                            }
-                            events.push_completion(admission.finish, card, id, shard, index);
-                            stale[card] = true;
-                        } else {
-                            // Continuous batching: the remnant rejoins
-                            // the dispatch queue and competes with new
-                            // arrivals; the policy re-plans its width.
-                            table.flights[fi].queued_jobs = jobs;
-                            queue.push(&table.requests[fi], index);
-                        }
+                        self.step_complete(now, card, id, index)
                     }
-                    Event::Preemption { id } => {
-                        // Still waiting? (Dispatched or shed means the
-                        // timer outlived its request — a no-op.)
-                        if queue.contains((RequestClass::Interactive.rank(), id)) {
-                            let evicted_card = self.preempt_background(
-                                now,
-                                id,
-                                &cost,
-                                &mut fleet,
-                                &mut table,
-                                &mut queue,
-                                &mut preemptions,
-                                sink,
-                            );
-                            let evicted = evicted_card.is_some();
-                            if let Some(card) = evicted_card {
-                                live_shards -= 1;
-                                counters.preemption_evictions += 1;
-                                stale[card] = true;
-                            }
-                            // Re-arm only while a future firing could
-                            // still find a victim: after an eviction, or
-                            // while background work remains in flight.
-                            // With priority-ordered dispatch no *new*
-                            // background job can start while this
-                            // request waits, so a no-victim firing with
-                            // nothing in flight would re-fire as a no-op
-                            // every threshold forever.
-                            let background_in_flight = table.live.iter().any(|&i| {
-                                table.requests[i as usize].class == RequestClass::lowest()
-                                    && table.flights[i as usize].shard_count > 0
-                            });
-                            if evicted || background_in_flight {
-                                let threshold = self
-                                    .preemption
-                                    .wait_threshold_s
-                                    .expect("preemption events only exist when enabled");
-                                events.push_preemption(now + threshold, id);
-                            }
-                        }
-                    }
-                    // No state change: `Warmed` marks a card's
-                    // `available_at` passing, `ScaleCheck` an idle card
-                    // reaching park eligibility; both exist to force a
-                    // dispatch-and-autoscale pass at exactly that
-                    // boundary.
-                    Event::Warmed { card } => {
-                        // The card's `available_at` just passed: its view
-                        // flips from zero idle pipelines to dispatchable.
-                        stale[card] = true;
-                        if live {
-                            sink.warmed(now, card);
-                        }
-                    }
+                    Event::Preemption { id } => self.preemption(now, id),
+                    Event::Warmed { card } => self.warmed(now, card),
+                    // No state change: an idle card reached park
+                    // eligibility, and the event exists to force a
+                    // dispatch-and-autoscale pass at exactly that instant.
                     Event::ScaleCheck => {}
-                    Event::CardDeath { card } => {
-                        // Killing an already-dead card is an uncounted
-                        // no-op (a storm may schedule overlapping deaths).
-                        if !fleet.cards()[card].dead() {
-                            // Every live shard on the card is lost. Its
-                            // checkpointed jobs survive (checkpoints live
-                            // off-card — the same durability preemption
-                            // assumes) and the unfinished tail requeues as
-                            // a remnant, exactly like a preemption, except
-                            // nothing is charged to the preemption
-                            // counters: a death is not a scheduling
-                            // decision. `table.live` is id-sorted, so the
-                            // eviction order is deterministic.
-                            death_victims.clear();
-                            for &fi in &table.live {
-                                let mut node = table.flights[fi as usize].head;
-                                while node != NIL {
-                                    let n = &table.shards.nodes[node as usize];
-                                    if n.slot.card == card {
-                                        death_victims.push((fi, n.slot.shard));
-                                    }
-                                    node = n.next;
-                                }
-                            }
-                            let shards_lost = death_victims.len();
-                            for &(fi, shard_id) in &death_victims {
-                                let fi_us = fi as usize;
-                                let slot = table
-                                    .unlink_shard(fi_us, shard_id)
-                                    .expect("death victim was just found live");
-                                live_shards -= 1;
-                                let done = fleet.card_mut(card).fail_evict(
-                                    &slot.admission,
-                                    slot.dispatched,
-                                    now,
-                                );
-                                let done = done.min(slot.jobs - 1);
-                                // The remnant owes one restart penalty;
-                                // its next admission pays it. Unlike
-                                // preemption, `Request::preemptions` is
-                                // not bumped — the per-card preemption
-                                // invariants stay exact under faults.
-                                table.requests[fi_us].pending_restart = true;
-                                let a2 = slot.first_job + done;
-                                let b2 = slot.first_job + slot.jobs;
-                                let rank = table.requests[fi_us].rank_key();
-                                let (jd, je) = if queue.remove(rank).is_some() {
-                                    // Merge with an already-queued remnant
-                                    // (an earlier shard of this request
-                                    // died or was preempted): keep the
-                                    // combined job count anchored at the
-                                    // lower offset.
-                                    let r = &table.requests[fi_us];
-                                    let jobs = (r.jobs_end - r.jobs_done) + (b2 - a2);
-                                    let jd = r.jobs_done.min(a2);
-                                    (jd, jd + jobs)
-                                } else {
-                                    (a2, b2)
-                                };
-                                table.requests[fi_us].jobs_done = jd;
-                                table.requests[fi_us].jobs_end = je;
-                                table.flights[fi_us].queued_jobs = je - jd;
-                                queue.push(&table.requests[fi_us], fi);
-                            }
-                            fleet.card_mut(card).fail(now);
-                            stale[card] = true;
-                            fault_deaths += 1;
-                            fault_shards_lost += shards_lost as u64;
-                            if live {
-                                sink.card_death(now, card, shards_lost);
-                            }
-                        }
-                    }
-                    Event::CardDegrade { card, factor } => {
-                        fleet.card_mut(card).degrade_by(factor);
-                        // Re-snapshot the shared planner model so shard
-                        // pricing and cost-aware preemption keep charging
-                        // the same floats admission now does.
-                        cost = CostModel::for_fleet(&fleet);
-                        stale[card] = true;
-                        fault_degrades += 1;
-                        if live {
-                            sink.card_degrade(now, card, factor);
-                        }
-                    }
-                    Event::CardRevive { card, warmup_s } => {
-                        // Reviving a live card is an uncounted no-op.
-                        if fleet.cards()[card].dead() {
-                            fleet.card_mut(card).revive(now, warmup_s);
-                            events.push_warmed(now + warmup_s, card);
-                            stale[card] = true;
-                            fault_revivals += 1;
-                            if live {
-                                sink.card_revive(now, card);
-                            }
-                        }
-                    }
+                    Event::CardDeath { card } => self.card_death(now, card),
+                    Event::CardDegrade { card, factor } => self.card_degrade(now, card, factor),
+                    Event::CardRevive { card, warmup_s } => self.card_revive(now, card, warmup_s),
                 }
-                next = (events.next_time() == Some(now))
-                    .then(|| events.pop().expect("peeked event must pop").1);
+                next = (self.events.next_time() == Some(now))
+                    .then(|| self.events.pop().expect("peeked event must pop").1);
             }
 
-            // 3. Dispatch while the policy finds work and capacity. A
-            //    whole-request policy yields single-entry plans; a
-            //    split-aware one fans the request's jobs out across the
-            //    plan's pipelines, one shard per entry.
-            //
-            //    Views refresh incrementally: only cards an event marked
-            //    stale, or whose last snapshot still carried backlog
-            //    (backlog decays with wall time, so the snapshot is out
-            //    of date by construction). A card with zero backlog has
-            //    every pipeline free past `next_free`, so nothing about
-            //    it changes until an event names it — and every such
-            //    event marks it stale above.
-            for c in 0..views.len() {
-                if stale[c] || views[c].backlog_seconds > 0.0 {
-                    views[c] = card_view(c, &fleet.cards()[c], now);
-                    stale[c] = false;
-                }
-            }
-            // Debug cross-check: the incremental views must be
-            // indistinguishable from the full recompute the loop used to
-            // pay per batch.
-            #[cfg(debug_assertions)]
-            for (c, v) in views.iter().enumerate() {
-                debug_assert_eq!(
-                    *v,
-                    card_view(c, &fleet.cards()[c], now),
-                    "dirty-card view diverged on card {c}"
-                );
-            }
-            while let Some((qi, plan)) =
-                policy.choose_sharded(now, queue.view(&table.requests), &views, &cost)
-            {
-                assert!(
-                    !plan.is_empty(),
-                    "policy {} returned an empty shard plan",
-                    policy.name()
-                );
-                let group = views[plan[0]].group;
-                claim_scratch.clear();
-                for &card in &plan {
-                    assert!(
-                        views[card].group == group,
-                        "policy {} sharded one request across card groups",
-                        policy.name()
-                    );
-                    match claim_scratch.binary_search_by_key(&card, |e| e.0) {
-                        Ok(pos) => claim_scratch[pos].1 += 1,
-                        Err(pos) => claim_scratch.insert(pos, (card, 1)),
-                    }
-                }
-                for &(card, shards) in &claim_scratch {
-                    assert!(
-                        shards <= views[card].idle_pipelines,
-                        "policy {} dispatched to a busy card",
-                        policy.name()
-                    );
-                }
-                let fi = queue.take(qi) as usize;
-                let id = table.requests[fi].id;
-                // A shard carries at least one job: cap the fan-out at
-                // the fragment's remaining job count.
-                let width = plan.len().min(table.requests[fi].remaining_jobs());
-                // Price the realized plan before admission mutates any
-                // card, so the predicted-vs-realized audit sees exactly
-                // the state the planner saw.
-                let predicted = (width > 1)
-                    .then(|| cost.price_plan(&table.requests[fi], &plan[..width], &views, now));
-                counters.dispatches += 1;
-                counters.shards_dispatched += width as u64;
-                if live {
-                    sink.dispatch(
-                        now,
-                        &table.requests[fi],
-                        &plan[..width],
-                        predicted.as_ref().map(|p| p.fan_in),
-                    );
-                }
-                // The contention each shard is charged: pipelines busy
-                // before this plan plus every shard the plan lands on
-                // that card — the planner's price, not the stale
-                // per-admission count that let earlier siblings miss the
-                // shards about to join them.
-                crate::cost::plan_stream_counts_into(&plan[..width], &views, &mut stream_scratch);
-                // A requeued remnant rejoins its live fan-in record.
-                debug_assert!(
-                    table.flights[fi].queued_jobs == 0
-                        || table.flights[fi].queued_jobs == table.requests[fi].remaining_jobs(),
-                    "queued remnant out of sync with the fan-in table"
-                );
-                if !table.flights[fi].live {
-                    table.flights[fi].live = true;
-                    table.insert_live(fi as u32);
-                }
-                table.flights[fi].queued_jobs = 0;
-                table.flights[fi].dispatched = now;
-                // Spread the jobs as evenly as the grid divides: the
-                // first `total % width` shards carry one extra job.
-                let total = table.requests[fi].remaining_jobs();
-                let (base, extra) = crate::cost::job_split(total, width);
-                let mut first_job = table.requests[fi].jobs_done;
-                let mut realized = now;
-                for (i, &card) in plan[..width].iter().enumerate() {
-                    let jobs = base + usize::from(i < extra);
-                    scratch.clear();
-                    let streams = stream_scratch[stream_scratch
-                        .binary_search_by_key(&card, |e| e.0)
-                        .expect("every plan card was counted")]
-                    .1;
-                    let admission = fleet.card_mut(card).admit_jobs(
-                        &table.requests[fi],
-                        first_job,
-                        jobs,
-                        streams,
-                        now,
-                        self.trace,
-                        &mut scratch,
-                    );
-                    // Each preemption is paid for exactly once: the
-                    // remnant's first shard carried any pending restart,
-                    // its siblings (and later admissions) must not.
-                    table.requests[fi].pending_restart = false;
-                    realized = realized.max(admission.finish);
-                    if self.trace {
-                        placements.extend(scratch.drain(..).map(|p| (card, p)));
-                    }
-                    let shard = table.flights[fi].next_shard;
-                    table.flights[fi].next_shard += 1;
-                    table.append_shard(
-                        fi,
-                        ShardSlot {
-                            shard,
-                            card,
-                            pipeline: admission.pipeline,
-                            dispatched: now,
-                            first_job,
-                            jobs,
-                            admission,
-                        },
-                    );
-                    live_shards += 1;
-                    if live {
-                        sink.shard_start(
-                            now,
-                            id,
-                            shard,
-                            card,
-                            admission.pipeline,
-                            jobs,
-                            admission.finish,
-                        );
-                    }
-                    events.push_completion(admission.finish, card, id, shard, fi as u32);
-                    first_job += jobs;
-                    // Only the dispatched card's state changed.
-                    views[card] = card_view(card, &fleet.cards()[card], now);
-                }
-                table.flights[fi].max_width = table.flights[fi]
-                    .max_width
-                    .max(table.flights[fi].shard_count);
-                if let Some(p) = predicted {
-                    let error = (realized - p.fan_in).abs();
-                    priced_plans += 1;
-                    prediction_abs_error += error;
-                    prediction_max_error = prediction_max_error.max(error);
-                }
-            }
+            // 3. Dispatch while the policy finds work and capacity.
+            self.dispatch(now, policy);
 
             // 3½. Autoscaler feedback, after capacity decisions settle.
             // The sink sees fresh decisions by diffing the controller's
             // log around the call.
-            if let Some(s) = scaler.as_mut() {
+            if let Some(s) = self.scaler.as_mut() {
                 let logged = s.log().len();
-                s.evaluate(now, queue.len(), &mut fleet, &mut events);
+                s.evaluate(now, self.queue.len(), &mut self.fleet, &mut self.events);
                 for e in &s.log()[logged..] {
                     // Power flips change the card's view (idle pipelines,
                     // dispatchability) without any backlog to betray it.
-                    stale[e.card] = true;
-                    if live {
-                        sink.scaled(e);
+                    self.stale[e.card] = true;
+                    if self.live {
+                        self.sink.scaled(e);
                     }
                 }
             }
 
             // 4. Sample the queue after the event settles.
-            max_depth = max_depth.max(queue.len());
-            samples_total += 1;
-            if timeline.len() < TIMELINE_CAP {
-                timeline.push(QueueSample {
+            self.max_depth = self.max_depth.max(self.queue.len());
+            self.samples_total += 1;
+            if self.timeline.len() < TIMELINE_CAP {
+                self.timeline.push(QueueSample {
                     time: now,
-                    depth: queue.len(),
+                    depth: self.queue.len(),
                 });
             }
 
             // 4½. Gauge sample for sinks and streaming telemetry — the
             // O(cards) fleet scan is skipped entirely on the default
             // (NullSink, Exact) path.
-            let buckets = report.gauge_buckets();
-            if live || buckets.is_some() {
+            let buckets = self.report.gauge_buckets();
+            if self.live || buckets.is_some() {
                 let gauges = GaugeSample {
-                    queue_depth: queue.len(),
-                    in_flight_shards: live_shards,
-                    powered_cards: fleet.powered_cards(),
-                    utilization: live_shards as f64 / total_pipelines as f64,
-                    active_energy_joules: fleet.active_energy_joules(),
+                    queue_depth: self.queue.len(),
+                    in_flight_shards: self.live_shards,
+                    powered_cards: self.fleet.powered_cards(),
+                    utilization: self.live_shards as f64 / self.total_pipelines as f64,
+                    active_energy_joules: self.fleet.active_energy_joules(),
                 };
-                if live {
-                    sink.gauges(now, &gauges);
+                if self.live {
+                    self.sink.gauges(now, &gauges);
                 }
                 if let Some(buckets) = buckets {
                     buckets.record(now, &gauges);
@@ -1219,101 +751,498 @@ impl<'a> Simulation<'a> {
             //    no-ops from here — and letting them tick would push
             //    `last_event` past the last completion, silently charging
             //    phantom powered/idle time to the energy accounting.
-            if arrivals_done && queue.is_empty() && table.live.is_empty() {
+            if self.arrivals_done && self.queue.is_empty() && self.table.live.is_empty() {
                 break;
             }
         }
-        // A drained run leaves nothing queued — unless faults killed the
-        // entire fleet, in which case the heap exhausts with work still
-        // waiting and no card to run it. Those requests fail: a terminal
-        // state distinct from rejection (they were admitted) that keeps
-        // the conservation law exact.
-        if !queue.is_empty() {
-            assert!(
-                fleet.cards().iter().all(Card::dead),
-                "drained simulation left requests queued"
-            );
-            while !queue.is_empty() {
-                let fi = queue.take(0) as usize;
-                if table.flights[fi].live {
-                    // A remnant whose sibling shards died too: clear its
-                    // fan-in row so the live index empties.
-                    table.flights[fi].live = false;
-                    table.flights[fi].queued_jobs = 0;
-                    table.remove_live(fi as u32);
+        self.finish(policy.name())
+    }
+
+    /// A request arrives: the next arrival joins the heap, and this one
+    /// is queued (arming its preemption timer) or shed.
+    fn arrival(&mut self, now: f64, index: usize) {
+        if index + 1 < self.table.requests.len() {
+            let r = &self.table.requests[index + 1];
+            self.events.push_arrival(r.arrival, index + 1, r.id);
+        } else {
+            self.arrivals_done = true;
+        }
+        let request = &self.table.requests[index];
+        if self.live {
+            self.sink.arrival(now, request);
+        }
+        if self.sim.admission.admits(request.class, self.queue.len()) {
+            self.queue.push(request, index as u32);
+            if let Some(threshold) = self.sim.preemption.wait_threshold_s {
+                if request.class == RequestClass::Interactive {
+                    self.events.push_preemption(now + threshold, request.id);
                 }
-                if live {
-                    sink.failed(last_event, &table.requests[fi]);
+            }
+        } else {
+            if self.live {
+                self.sink.shed(now, request);
+            }
+            self.report.reject(request);
+        }
+    }
+
+    /// A shard's completion timer fires. A timer whose shard was evicted
+    /// is a tombstone and is dropped; otherwise the shard drains, and if
+    /// it was its decode step's last, the request fans in: it completes,
+    /// or its next step is scheduled.
+    fn completion(&mut self, now: f64, id: u64, shard: u32, index: u32) {
+        let fi = index as usize;
+        debug_assert_eq!(self.table.requests[fi].id, id);
+        let slot = if self.table.flights[fi].live {
+            self.table.unlink_shard(fi, shard)
+        } else {
+            None
+        };
+        let Some(slot) = slot else {
+            self.counters.tombstoned_completions += 1;
+            return;
+        };
+        self.live_shards -= 1;
+        self.stale[slot.card] = true;
+        if self.live {
+            self.sink
+                .shard_finish(now, id, slot.shard, slot.card, slot.pipeline);
+        }
+        let meta = &self.table.flights[fi];
+        if meta.shard_count > 0 || meta.queued_jobs > 0 {
+            return;
+        }
+        // Fan-in: the current decode step's last outstanding shard
+        // drained.
+        self.table.requests[fi].steps_done += 1;
+        if self.table.requests[fi].steps_done == 1 {
+            self.table.flights[fi].first_step_finish = now;
+        }
+        let request = &self.table.requests[fi];
+        let finished_naturally = request.steps_done >= request.decode.steps;
+        // `exits_after` never draws for a zero-probability plan, so
+        // one-shot traffic touches no RNG here.
+        let exits = !finished_naturally && request.decode.exits_after(request.steps_done - 1);
+        if finished_naturally || exits {
+            let meta = &self.table.flights[fi];
+            let record = CompletedRequest {
+                request: *request,
+                dispatched: meta.dispatched,
+                finished: now,
+                first_step_finished: meta.first_step_finish,
+                card: slot.card,
+                pipeline: slot.pipeline,
+                shards: meta.max_width,
+            };
+            self.table.flights[fi].live = false;
+            self.table.remove_live(index);
+            if self.live {
+                self.sink.fan_in(now, &record);
+            }
+            self.report.complete(&record);
+        } else {
+            // More steps owed. The remnant re-enters dispatch when this
+            // StepComplete delivers — ordered after every completion at
+            // `now` and before any preemption, scaling, or fault. The
+            // flight stays live with an empty shard chain, keeping the
+            // termination check honest.
+            self.events.push_step_complete(now, slot.card, id, index);
+        }
+    }
+
+    /// A decode step fanned in with more steps owed: the job cursor
+    /// rewinds and the next step re-enters service — on the fan-in card
+    /// under whole-job batching, through the dispatch queue otherwise.
+    fn step_complete(&mut self, now: f64, card: usize, id: u64, index: u32) {
+        let fi = index as usize;
+        debug_assert_eq!(self.table.requests[fi].id, id);
+        debug_assert!(
+            self.table.flights[fi].live && self.table.flights[fi].shard_count == 0,
+            "a step boundary found shards still in flight"
+        );
+        // Rewind the job cursor: the next step re-runs the full
+        // attention grid.
+        let jobs = self.table.requests[fi].shape.jobs();
+        self.table.requests[fi].jobs_done = 0;
+        self.table.requests[fi].jobs_end = jobs;
+        if self.live {
+            let step = self.table.requests[fi].steps_done;
+            self.sink.step_complete(now, id, step, card);
+        }
+        let c = &self.fleet.cards()[card];
+        let same_card = self.sim.decode_batching == DecodeBatching::WholeJob
+            && c.dispatchable(now)
+            && c.idle_pipelines(now) > 0;
+        if same_card {
+            // Whole-job queueing: re-admit the full next step on the
+            // fan-in card without a queue round trip. Kind ordering
+            // delivers this event after every completion at `now` and
+            // before any fault or scaling decision, so the pipeline the
+            // step just freed is still free and the card still alive; a
+            // dead or parked card falls through to the queue.
+            let streams = c.pipelines() - c.idle_pipelines(now) + 1;
+            self.counters.dispatches += 1;
+            self.counters.shards_dispatched += 1;
+            if self.live {
+                self.sink
+                    .dispatch(now, &self.table.requests[fi], &[card], None);
+            }
+            self.table.flights[fi].dispatched = now;
+            self.admit_shard(now, fi, card, 0, jobs, streams);
+            self.stale[card] = true;
+        } else {
+            // Continuous batching: the remnant rejoins the dispatch queue
+            // and competes with new arrivals; the policy re-plans its
+            // width.
+            self.table.flights[fi].queued_jobs = jobs;
+            self.queue.push(&self.table.requests[fi], index);
+        }
+    }
+
+    /// An interactive request's patience ran out. If it is still
+    /// waiting, one background shard is evicted, and the timer re-arms
+    /// while a later firing could still find a victim.
+    fn preemption(&mut self, now: f64, id: u64) {
+        // Dispatched or shed means the timer outlived its request — a
+        // no-op.
+        if !self.queue.contains((RequestClass::Interactive.rank(), id)) {
+            return;
+        }
+        let evicted = self.preempt_background(now, id);
+        // Re-arm only while a future firing could still find a victim:
+        // after an eviction, or while background work remains in flight.
+        // With priority-ordered dispatch no *new* background job can
+        // start while this request waits, so a no-victim firing with
+        // nothing in flight would re-fire as a no-op every threshold
+        // forever.
+        let table = &self.table;
+        let background_in_flight = table.live.iter().any(|&i| {
+            table.requests[i as usize].class == RequestClass::lowest()
+                && table.flights[i as usize].shard_count > 0
+        });
+        if evicted || background_in_flight {
+            let threshold = self
+                .sim
+                .preemption
+                .wait_threshold_s
+                .expect("preemption events only exist when enabled");
+            self.events.push_preemption(now + threshold, id);
+        }
+    }
+
+    /// A card finished warming up: its view flips from zero idle
+    /// pipelines to dispatchable.
+    fn warmed(&mut self, now: f64, card: usize) {
+        self.stale[card] = true;
+        if self.live {
+            self.sink.warmed(now, card);
+        }
+    }
+
+    /// A card dies. Every live shard on it is lost: its checkpointed
+    /// jobs survive (checkpoints live off-card — the same durability
+    /// preemption assumes) and the unfinished tail requeues as a remnant,
+    /// exactly like a preemption, except nothing is charged to the
+    /// preemption counters: a death is not a scheduling decision.
+    /// Killing an already-dead card is an uncounted no-op (a storm may
+    /// schedule overlapping deaths).
+    fn card_death(&mut self, now: f64, card: usize) {
+        if self.fleet.cards()[card].dead() {
+            return;
+        }
+        // `table.live` is id-sorted, so the eviction order is
+        // deterministic.
+        self.death_victims.clear();
+        for &fi in &self.table.live {
+            let mut node = self.table.flights[fi as usize].head;
+            while node != NIL {
+                let n = &self.table.shards.nodes[node as usize];
+                if n.slot.card == card {
+                    self.death_victims.push((fi, n.slot.shard));
                 }
-                report.fail(&table.requests[fi]);
+                node = n.next;
             }
         }
-        assert!(
-            table.live.is_empty(),
-            "drained simulation left work in flight"
-        );
-        counters.peak_queue_depth = max_depth;
-        counters.sim_span_s = last_event - t0;
-
-        // Close every card's powered clock at the last event — with the
-        // early stop above, the last completion — so powered/idle
-        // accounting covers exactly the reported span.
-        for i in 0..fleet.cards().len() {
-            fleet.card_mut(i).close_power_clock(last_event);
+        let shards_lost = self.death_victims.len();
+        for v in 0..shards_lost {
+            let (fi, shard) = self.death_victims[v];
+            let slot = self
+                .table
+                .unlink_shard(fi as usize, shard)
+                .expect("death victim was just found live");
+            let done = self
+                .fleet
+                .card_mut(card)
+                .fail_evict(&slot.admission, slot.dispatched, now);
+            // Unlike preemption, `Request::preemptions` is not bumped —
+            // the per-card preemption invariants stay exact under faults.
+            self.requeue_remnant(fi, &slot, done);
         }
+        self.fleet.card_mut(card).fail(now);
+        self.stale[card] = true;
+        self.faults.card_deaths += 1;
+        self.faults.shards_lost += shards_lost as u64;
+        if self.live {
+            self.sink.card_death(now, card, shards_lost);
+        }
+    }
 
-        let scaling = scaler.map_or_else(Vec::new, Autoscaler::into_log);
-        // The faults block exists exactly when a plan was injected, so
-        // fault-free reports keep their bytes.
-        let faults = (!self.faults.is_empty()).then_some(FaultSummary {
-            card_deaths: fault_deaths,
-            degrades: fault_degrades,
-            revivals: fault_revivals,
-            shards_lost: fault_shards_lost,
-            failed: report.failed(),
-        });
-        let cost_prediction = (priced_plans > 0).then_some(CostPrediction {
-            plans: priced_plans,
-            mean_abs_error_s: prediction_abs_error / priced_plans.max(1) as f64,
-            max_error_s: prediction_max_error,
-        });
-        assert_eq!(report.resolved(), table.requests.len());
-        // Folding from the first arrival keeps the span non-negative even
-        // when nothing completed (a fully-shed trace).
-        let span = t0.max(report.last_finish()) - t0;
-        let cards = fleet
-            .cards()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| card_summary(i, c, span))
-            .collect();
-        let queue = QueueSummary {
-            max_depth,
-            mean_depth: if span > 0.0 {
-                depth_integral / span
-            } else {
-                0.0
+    /// A card's calibration stretches by `factor`.
+    fn card_degrade(&mut self, now: f64, card: usize, factor: f64) {
+        self.fleet.card_mut(card).degrade_by(factor);
+        // Re-snapshot the shared planner model so shard pricing and
+        // cost-aware preemption keep charging the same floats admission
+        // now does.
+        self.cost = CostModel::for_fleet(&self.fleet);
+        self.stale[card] = true;
+        self.faults.degrades += 1;
+        if self.live {
+            self.sink.card_degrade(now, card, factor);
+        }
+    }
+
+    /// A dead card powers back up cold, dispatchable after `warmup_s`.
+    /// Reviving a live card is an uncounted no-op.
+    fn card_revive(&mut self, now: f64, card: usize, warmup_s: f64) {
+        if !self.fleet.cards()[card].dead() {
+            return;
+        }
+        self.fleet.card_mut(card).revive(now, warmup_s);
+        self.events.push_warmed(now + warmup_s, card);
+        self.stale[card] = true;
+        self.faults.revivals += 1;
+        if self.live {
+            self.sink.card_revive(now, card);
+        }
+    }
+
+    /// Dispatches while the policy finds work and capacity. A
+    /// whole-request policy yields single-entry plans; a split-aware one
+    /// fans the request's jobs out across the plan's pipelines, one shard
+    /// per entry.
+    fn dispatch(&mut self, now: f64, policy: &mut dyn DispatchPolicy) {
+        // Views refresh incrementally: only cards an event marked stale,
+        // or whose last snapshot still carried backlog (backlog decays
+        // with wall time, so the snapshot is out of date by
+        // construction). A card with zero backlog has every pipeline free
+        // past `next_free`, so nothing about it changes until an event
+        // names it — and every such event marks it stale.
+        for c in 0..self.views.len() {
+            if self.stale[c] || self.views[c].backlog_seconds > 0.0 {
+                self.views[c] = card_view(c, &self.fleet.cards()[c], now);
+                self.stale[c] = false;
+            }
+        }
+        // Debug cross-check: the incremental views must be
+        // indistinguishable from a full recompute.
+        #[cfg(debug_assertions)]
+        for (c, v) in self.views.iter().enumerate() {
+            debug_assert_eq!(
+                *v,
+                card_view(c, &self.fleet.cards()[c], now),
+                "dirty-card view diverged on card {c}"
+            );
+        }
+        while let Some((qi, plan)) = policy.choose_sharded(
+            now,
+            self.queue.view(&self.table.requests),
+            &self.views,
+            &self.cost,
+        ) {
+            assert!(
+                !plan.is_empty(),
+                "policy {} returned an empty shard plan",
+                policy.name()
+            );
+            let group = self.views[plan[0]].group;
+            self.claim_scratch.clear();
+            for &card in &plan {
+                assert!(
+                    self.views[card].group == group,
+                    "policy {} sharded one request across card groups",
+                    policy.name()
+                );
+                match self.claim_scratch.binary_search_by_key(&card, |e| e.0) {
+                    Ok(pos) => self.claim_scratch[pos].1 += 1,
+                    Err(pos) => self.claim_scratch.insert(pos, (card, 1)),
+                }
+            }
+            for &(card, shards) in &self.claim_scratch {
+                assert!(
+                    shards <= self.views[card].idle_pipelines,
+                    "policy {} dispatched to a busy card",
+                    policy.name()
+                );
+            }
+            let fi = self.queue.take(qi) as usize;
+            // A shard carries at least one job: cap the fan-out at the
+            // fragment's remaining job count.
+            let width = plan.len().min(self.table.requests[fi].remaining_jobs());
+            let plan = &plan[..width];
+            // Price the realized plan before admission mutates any card,
+            // so the predicted-vs-realized audit sees exactly the state
+            // the planner saw.
+            let predicted = (width > 1).then(|| {
+                self.cost
+                    .price_plan(&self.table.requests[fi], plan, &self.views, now)
+            });
+            self.counters.dispatches += 1;
+            self.counters.shards_dispatched += width as u64;
+            if self.live {
+                self.sink.dispatch(
+                    now,
+                    &self.table.requests[fi],
+                    plan,
+                    predicted.as_ref().map(|p| p.fan_in),
+                );
+            }
+            // The contention each shard is charged: pipelines busy before
+            // this plan plus every shard the plan lands on that card —
+            // the planner's price, not the stale per-admission count that
+            // let earlier siblings miss the shards about to join them.
+            crate::cost::plan_stream_counts_into(plan, &self.views, &mut self.stream_scratch);
+            // A requeued remnant rejoins its live fan-in record.
+            debug_assert!(
+                self.table.flights[fi].queued_jobs == 0
+                    || self.table.flights[fi].queued_jobs
+                        == self.table.requests[fi].remaining_jobs(),
+                "queued remnant out of sync with the fan-in table"
+            );
+            if !self.table.flights[fi].live {
+                self.table.flights[fi].live = true;
+                self.table.insert_live(fi as u32);
+            }
+            self.table.flights[fi].queued_jobs = 0;
+            self.table.flights[fi].dispatched = now;
+            // Spread the jobs as evenly as the grid divides: the first
+            // `total % width` shards carry one extra job.
+            let total = self.table.requests[fi].remaining_jobs();
+            let (base, extra) = crate::cost::job_split(total, width);
+            let mut first_job = self.table.requests[fi].jobs_done;
+            let mut realized = now;
+            for (i, &card) in plan.iter().enumerate() {
+                let jobs = base + usize::from(i < extra);
+                let streams = self.stream_scratch[self
+                    .stream_scratch
+                    .binary_search_by_key(&card, |e| e.0)
+                    .expect("every plan card was counted")]
+                .1;
+                let admission = self.admit_shard(now, fi, card, first_job, jobs, streams);
+                realized = realized.max(admission.finish);
+                first_job += jobs;
+                // Only the dispatched card's state changed.
+                self.views[card] = card_view(card, &self.fleet.cards()[card], now);
+            }
+            let meta = &mut self.table.flights[fi];
+            meta.max_width = meta.max_width.max(meta.shard_count);
+            if let Some(p) = predicted {
+                let error = (realized - p.fan_in).abs();
+                self.priced_plans += 1;
+                self.prediction_abs_error += error;
+                self.prediction_max_error = self.prediction_max_error.max(error);
+            }
+        }
+    }
+
+    /// Admits one shard of flight `fi` — `jobs` jobs from offset
+    /// `first_job`, charged the contention of `streams` concurrent
+    /// pipelines — onto `card` at `now`. The card schedules it, the
+    /// flight table links its slot, the sink sees it start, and its
+    /// completion timer joins the heap. The caller owns the card's view.
+    fn admit_shard(
+        &mut self,
+        now: f64,
+        fi: usize,
+        card: usize,
+        first_job: usize,
+        jobs: usize,
+        streams: usize,
+    ) -> Admission {
+        let admission = self.fleet.card_mut(card).admit_jobs(
+            &self.table.requests[fi],
+            first_job,
+            jobs,
+            streams,
+            now,
+        );
+        // Each preemption is paid for exactly once: the remnant's first
+        // shard carried any pending restart, its siblings (and later
+        // admissions) must not.
+        self.table.requests[fi].pending_restart = false;
+        let shard = self.table.flights[fi].next_shard;
+        self.table.flights[fi].next_shard += 1;
+        self.table.append_shard(
+            fi,
+            ShardSlot {
+                shard,
+                card,
+                pipeline: admission.pipeline,
+                dispatched: now,
+                first_job,
+                jobs,
+                admission,
             },
-            timeline,
-            total_samples: samples_total,
+        );
+        self.live_shards += 1;
+        let id = self.table.requests[fi].id;
+        if self.live {
+            self.sink.shard_start(
+                now,
+                id,
+                shard,
+                card,
+                admission.pipeline,
+                jobs,
+                admission.finish,
+            );
+        }
+        self.events
+            .push_completion(admission.finish, card, id, shard, fi as u32);
+        admission
+    }
+
+    /// Requeues the unfinished tail of `slot`, a shard of flight `fi`
+    /// just evicted with `done` whole jobs checkpointed, and returns the
+    /// checkpoint kept. The remnant owes one restart penalty, which its
+    /// next admission pays. While it waits, the arena record holds
+    /// exactly its job range (dispatch restores last-dispatched state).
+    /// If a remnant of the same request is already waiting (an earlier
+    /// shard was evicted too), the two merge: the merged entry keeps the
+    /// exact job *count*, anchored at the lower offset, though after a
+    /// merge of disjoint ranges the enumeration offsets are approximate
+    /// (evicted work re-runs lost partial jobs, so job identity there is
+    /// best-effort by design).
+    fn requeue_remnant(&mut self, fi: u32, slot: &ShardSlot, done: usize) -> usize {
+        // `floor` keeps the checkpoint strictly below the shard's job
+        // count; the min guards the float edge where the division lands
+        // exactly on it.
+        let done = done.min(slot.jobs - 1);
+        self.live_shards -= 1;
+        self.stale[slot.card] = true;
+        let r = &mut self.table.requests[fi as usize];
+        r.pending_restart = true;
+        let a2 = slot.first_job + done;
+        let b2 = slot.first_job + slot.jobs;
+        let (jd, je) = if self.queue.remove(r.rank_key()).is_some() {
+            // The queued remnant's range is read from the record *before*
+            // overwriting it; the ranges are disjoint, so the sum never
+            // walks off the grid.
+            let jobs = (r.jobs_end - r.jobs_done) + (b2 - a2);
+            let jd = r.jobs_done.min(a2);
+            (jd, jd + jobs)
+        } else {
+            (a2, b2)
         };
-        report.finish(
-            policy.name(),
-            &self.arrivals_label,
-            queue,
-            cards,
-            preemptions,
-            scaling,
-            cost_prediction,
-            faults,
-            placements,
-        )
+        r.jobs_done = jd;
+        r.jobs_end = je;
+        self.table.flights[fi as usize].queued_jobs = je - jd;
+        self.queue.push(&self.table.requests[fi as usize], fi);
+        done
     }
 
     /// Checkpoints-and-requeues one in-flight background **shard**
     /// because interactive request `waiting` has outwaited the
-    /// dispatcher's patience. Returns the evicted shard's card (so the
-    /// caller can mark its view dirty), or `None` when no victim exists.
+    /// dispatcher's patience. Returns whether a victim existed.
     ///
     /// By default the victim is the youngest: the last-dispatched shard
     /// (highest shard id) of the youngest (highest-id) background
@@ -1325,41 +1254,25 @@ impl<'a> Simulation<'a> {
     ///
     /// Only the victim shard's unfinished jobs requeue; sibling shards of
     /// the same request keep running, and the fan-in table joins them
-    /// back up with the remnant when it eventually re-dispatches. If a
-    /// remnant of the same request is already waiting (an earlier shard
-    /// was preempted too), the new remnant merges into it — the merged
-    /// entry keeps the exact job *count*, though after a merge of
-    /// disjoint ranges the enumeration offsets are approximate (traces
-    /// under preemption already re-run lost partial jobs, so job identity
-    /// there is best-effort by design). The freed pipeline is picked up
-    /// by the dispatch pass that follows the event batch.
-    #[allow(clippy::too_many_arguments)]
-    fn preempt_background(
-        &self,
-        now: f64,
-        waiting: u64,
-        cost: &CostModel,
-        fleet: &mut Fleet,
-        table: &mut FlightTable,
-        queue: &mut PriorityQueue,
-        preemptions: &mut Vec<PreemptionRecord>,
-        sink: &mut dyn TraceSink,
-    ) -> Option<usize> {
-        let background =
-            |table: &FlightTable, fi: usize| table.requests[fi].class == RequestClass::lowest();
+    /// back up with the remnant when it eventually re-dispatches. The
+    /// freed pipeline is picked up by the dispatch pass that follows the
+    /// event batch.
+    fn preempt_background(&mut self, now: f64, waiting: u64) -> bool {
+        let table = &self.table;
+        let background = |fi: usize| table.requests[fi].class == RequestClass::lowest();
         // The chosen victim: arena index, shard id, and — under
         // cost-aware selection, where one was computed anyway — the
         // eviction price the sink reports. `table.live` is sorted by
         // request id, so ascending iteration matches the id-keyed tree
         // this table replaced.
-        let chosen = if self.preemption.cost_aware_victims {
+        let chosen = if self.sim.preemption.cost_aware_victims {
             // Price every candidate eviction; cheapest wins, ties to the
             // youngest (highest request id, then highest shard id) so
-            // selection matches the legacy instinct when prices agree.
+            // selection matches youngest-first when prices agree.
             let mut best: Option<(f64, u64, u32, u32)> = None;
             for &fi in &table.live {
                 let fi_us = fi as usize;
-                if !background(table, fi_us) {
+                if !background(fi_us) {
                     continue;
                 }
                 let id = table.requests[fi_us].id;
@@ -1373,7 +1286,7 @@ impl<'a> Simulation<'a> {
                     // the family resident, so no re-stream is owed.
                     let tearing_swap = slot.admission.swap_seconds > 0.0
                         && now < slot.dispatched + slot.admission.swap_seconds;
-                    let price = cost.preemption_cost(
+                    let price = self.cost.preemption_cost(
                         slot.card,
                         &table.requests[fi_us].shape,
                         now - slot.dispatched,
@@ -1402,7 +1315,7 @@ impl<'a> Simulation<'a> {
             // live shard, then its highest shard id.
             table.live.iter().rev().find_map(|&fi| {
                 let fi_us = fi as usize;
-                if !background(table, fi_us) || table.flights[fi_us].shard_count == 0 {
+                if !background(fi_us) || table.flights[fi_us].shard_count == 0 {
                     return None;
                 }
                 let mut node = table.flights[fi_us].head;
@@ -1414,46 +1327,20 @@ impl<'a> Simulation<'a> {
                 Some((fi, best_shard, None))
             })
         };
-        let (fi, shard_id, victim_cost) = chosen?;
-        let fi_us = fi as usize;
-        let slot = table
-            .unlink_shard(fi_us, shard_id)
+        let Some((fi, shard, victim_cost)) = chosen else {
+            return false;
+        };
+        let slot = self
+            .table
+            .unlink_shard(fi as usize, shard)
             .expect("victim was just found");
-        let done = fleet
+        let done = self
+            .fleet
             .card_mut(slot.card)
             .preempt(&slot.admission, slot.dispatched, now);
-        // `floor` keeps the checkpoint strictly below the shard's job
-        // count; the min guards the float edge where the division lands
-        // exactly on it.
-        let done = done.min(slot.jobs - 1);
-        let victim = table.requests[fi_us].id;
-        table.requests[fi_us].preemptions += 1;
-        // The remnant owes one restart penalty for this preemption; its
-        // first admission pays it and clears the flag. The arena record
-        // becomes the remnant in place: while a remnant sits in the
-        // queue the record holds exactly its job range (dispatch
-        // restores the record to last-dispatched state).
-        table.requests[fi_us].pending_restart = true;
-        let a2 = slot.first_job + done;
-        let b2 = slot.first_job + slot.jobs;
-        let rank = (table.requests[fi_us].class.rank(), victim);
-        let (jd, je) = if queue.remove(rank).is_some() {
-            // Merge with the remnant of an earlier preempted shard: keep
-            // the combined job count, anchored at the lower offset (the
-            // ranges are disjoint, so the sum never walks off the grid).
-            // The previous remnant's range is read from the record
-            // *before* overwriting it.
-            let r = &table.requests[fi_us];
-            let jobs = (r.jobs_end - r.jobs_done) + (b2 - a2);
-            let jd = r.jobs_done.min(a2);
-            (jd, jd + jobs)
-        } else {
-            (a2, b2)
-        };
-        table.requests[fi_us].jobs_done = jd;
-        table.requests[fi_us].jobs_end = je;
-        table.flights[fi_us].queued_jobs = je - jd;
-        queue.push(&table.requests[fi_us], fi);
+        let victim = self.table.requests[fi as usize].id;
+        self.table.requests[fi as usize].preemptions += 1;
+        let done = self.requeue_remnant(fi, &slot, done);
         let record = PreemptionRecord {
             time: now,
             preempted: victim,
@@ -1461,11 +1348,126 @@ impl<'a> Simulation<'a> {
             card: slot.card,
             jobs_checkpointed: done,
         };
-        if sink.enabled() {
-            sink.preempted(now, &record, slot.shard, slot.pipeline, victim_cost);
+        if self.live {
+            self.sink
+                .preempted(now, &record, slot.shard, slot.pipeline, victim_cost);
         }
-        preemptions.push(record);
-        Some(slot.card)
+        self.preemptions.push(record);
+        self.counters.preemption_evictions += 1;
+        true
+    }
+
+    /// Settles a drained run — stranded requests fail, power clocks
+    /// close at the last event — and folds every accumulator into the
+    /// report.
+    fn finish(mut self, policy: &str) -> (ServeReport, KernelCounters) {
+        // A drained run leaves nothing queued — unless faults killed the
+        // entire fleet, in which case the heap exhausts with work still
+        // waiting and no card to run it. Those requests fail: a terminal
+        // state distinct from rejection (they were admitted) that keeps
+        // the conservation law exact.
+        if !self.queue.is_empty() {
+            assert!(
+                self.fleet.cards().iter().all(Card::dead),
+                "drained simulation left requests queued"
+            );
+            while !self.queue.is_empty() {
+                let fi = self.queue.take(0) as usize;
+                if self.table.flights[fi].live {
+                    // A remnant whose sibling shards died too: clear its
+                    // fan-in row so the live index empties.
+                    self.table.flights[fi].live = false;
+                    self.table.flights[fi].queued_jobs = 0;
+                    self.table.remove_live(fi as u32);
+                }
+                if self.live {
+                    self.sink.failed(self.last_event, &self.table.requests[fi]);
+                }
+                self.report.fail(&self.table.requests[fi]);
+            }
+        }
+        assert!(
+            self.table.live.is_empty(),
+            "drained simulation left work in flight"
+        );
+        let (t0, last_event) = (self.t0, self.last_event);
+        self.counters.peak_queue_depth = self.max_depth;
+        self.counters.sim_span_s = last_event - t0;
+
+        // Close every card's powered clock at the last event — with the
+        // early stop in the loop, the last completion — so powered/idle
+        // accounting covers exactly the reported span.
+        for i in 0..self.fleet.cards().len() {
+            self.fleet.card_mut(i).close_power_clock(last_event);
+        }
+
+        let scaling = self.scaler.map_or_else(Vec::new, Autoscaler::into_log);
+        // The faults block exists exactly when a plan was injected, so
+        // fault-free reports keep their bytes.
+        let faults = (!self.sim.faults.is_empty()).then_some(FaultSummary {
+            failed: self.report.failed(),
+            ..self.faults
+        });
+        let priced_plans = self.priced_plans;
+        let cost_prediction = (priced_plans > 0).then_some(CostPrediction {
+            plans: priced_plans,
+            mean_abs_error_s: self.prediction_abs_error / priced_plans.max(1) as f64,
+            max_error_s: self.prediction_max_error,
+        });
+        assert_eq!(self.report.resolved(), self.table.requests.len());
+        // Folding from the first arrival keeps the span non-negative even
+        // when nothing completed (a fully-shed trace).
+        let span = t0.max(self.report.last_finish()) - t0;
+        let cards = self
+            .fleet
+            .cards()
+            .iter()
+            .enumerate()
+            .map(|(i, c)| card_summary(i, c, span))
+            .collect();
+        let queue = QueueSummary {
+            max_depth: self.max_depth,
+            mean_depth: if span > 0.0 {
+                self.depth_integral / span
+            } else {
+                0.0
+            },
+            timeline: self.timeline,
+            total_samples: self.samples_total,
+        };
+        let report = self.report.finish(
+            policy,
+            &self.sim.arrivals_label,
+            queue,
+            cards,
+            self.preemptions,
+            scaling,
+            cost_prediction,
+            faults,
+        );
+        (report, self.counters)
+    }
+}
+
+/// Panics on a duplicate request id: the dispatch queue and the event
+/// heap break ties by id, so duplicates would make the schedule
+/// ambiguous. Dense ids (`0..n`, what every traffic generator emits) are
+/// checked in one pass over an n-bit bitmap; arbitrary ids fall back to a
+/// sort.
+fn assert_unique_ids(requests: &[Request]) {
+    const DUPLICATE: &str = "request ids must be unique (the kernel's tie-breaking orders by id)";
+    let n = requests.len();
+    let mut seen = vec![0u64; n.div_ceil(64)];
+    for r in requests {
+        let Some(i) = usize::try_from(r.id).ok().filter(|&i| i < n) else {
+            let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
+            ids.sort_unstable();
+            assert!(ids.windows(2).all(|w| w[0] != w[1]), "{DUPLICATE}");
+            return;
+        };
+        let bit = 1u64 << (i % 64);
+        assert!(seen[i / 64] & bit == 0, "{DUPLICATE}");
+        seen[i / 64] |= bit;
     }
 }
 
@@ -1725,48 +1727,12 @@ fn card_summary(index: usize, card: &Card, span: f64) -> CardSummary {
     }
 }
 
-/// Runs `requests` (sorted by arrival) through a fleet under a policy —
-/// the original entry point, kept as a thin wrapper over [`Simulation`].
-/// The report's arrivals label is `"trace"`; use the builder to set it.
-///
-/// # Panics
-///
-/// Panics if `requests` is empty, not sorted by arrival time, or contains
-/// duplicate ids, or if the fleet configuration is invalid (see
-/// [`Simulation::run`]).
-pub fn simulate(
-    fleet_cfg: &FleetConfig,
-    policy: &mut dyn DispatchPolicy,
-    requests: &[Request],
-    trace: bool,
-) -> ServeReport {
-    Simulation::new(fleet_cfg)
-        .trace(trace)
-        .run(policy, requests)
-}
-
-/// Convenience wrapper: generate `n` requests from `traffic`, serve them,
-/// and label the report with the arrival process and mix names.
-pub fn serve(
-    fleet: &FleetConfig,
-    policy: &mut dyn DispatchPolicy,
-    traffic: &TrafficSpec,
-    n: usize,
-) -> ServeReport {
-    Simulation::new(fleet)
-        .arrivals_label(format!(
-            "{}/{}",
-            traffic.arrivals.name(),
-            traffic.mix.name()
-        ))
-        .run(policy, &traffic.requests(n))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::QueueView;
     use crate::policy::{all_policies, Fifo, LeastLoaded};
+    use crate::trace::{RecordingSink, TraceEvent};
 
     fn traffic(seed: u64) -> TrafficSpec {
         TrafficSpec {
@@ -1780,7 +1746,7 @@ mod tests {
     fn every_request_completes_under_every_policy() {
         let fleet = FleetConfig::standard(2);
         for mut policy in all_policies() {
-            let report = serve(&fleet, &mut *policy, &traffic(3), 300);
+            let report = Simulation::new(&fleet).run(&mut *policy, &traffic(3).requests(300));
             assert_eq!(report.completed, 300, "{}", report.policy);
             assert!(report.latency.unwrap().p50 > 0.0);
             assert!(report.slo_violations <= report.completed);
@@ -1807,11 +1773,11 @@ mod tests {
     #[test]
     fn reports_are_bitwise_deterministic() {
         let fleet = FleetConfig::standard(3);
-        let a = serve(&fleet, &mut LeastLoaded, &traffic(11), 400);
-        let b = serve(&fleet, &mut LeastLoaded, &traffic(11), 400);
+        let a = Simulation::new(&fleet).run(&mut LeastLoaded, &traffic(11).requests(400));
+        let b = Simulation::new(&fleet).run(&mut LeastLoaded, &traffic(11).requests(400));
         assert_eq!(a, b);
         assert_eq!(a.to_json().pretty(), b.to_json().pretty());
-        let c = serve(&fleet, &mut LeastLoaded, &traffic(12), 400);
+        let c = Simulation::new(&fleet).run(&mut LeastLoaded, &traffic(12).requests(400));
         assert_ne!(a.latency, c.latency, "different seeds must differ");
     }
 
@@ -1835,7 +1801,6 @@ mod tests {
         let mut queue: Vec<Request> = Vec::new();
         let mut completed: Vec<crate::request::CompletedRequest> = Vec::new();
         let mut in_flight: Vec<(f64, crate::request::CompletedRequest)> = Vec::new();
-        let mut scratch: Vec<swat::schedule::Placement> = Vec::new();
 
         let mut timeline: Vec<QueueSample> = Vec::new();
         let mut max_depth = 0usize;
@@ -1870,10 +1835,7 @@ mod tests {
                     break;
                 };
                 let request = queue.remove(qi);
-                scratch.clear();
-                let admission = fleet
-                    .card_mut(card)
-                    .admit(&request, now, false, &mut scratch);
+                let admission = fleet.card_mut(card).admit(&request, now);
                 in_flight.push((
                     admission.finish,
                     crate::request::CompletedRequest {
@@ -1942,7 +1904,6 @@ mod tests {
             Vec::new(),
             None,
             None,
-            Vec::new(),
         )
     }
 
@@ -1955,7 +1916,7 @@ mod tests {
             let requests = traffic(seed).requests(250);
             let fleet = FleetConfig::standard(3);
             for i in 0..all_policies().len() {
-                let heap = simulate(&fleet, &mut *all_policies().remove(i), &requests, false);
+                let heap = Simulation::new(&fleet).run(&mut *all_policies().remove(i), &requests);
                 let reference =
                     reference_simulate(&fleet, &mut *all_policies().remove(i), &requests);
                 assert_eq!(heap, reference, "seed {seed}, policy {}", heap.policy);
@@ -1972,7 +1933,7 @@ mod tests {
             mix: RequestMix::Interactive,
             seed: 5,
         };
-        let report = serve(&fleet, &mut Fifo, &spec, 200);
+        let report = Simulation::new(&fleet).run(&mut Fifo, &spec.requests(200));
         assert!(report.queue.max_depth > 0);
         assert!(report.queue.mean_depth > 0.0);
         assert!(report.queue.mean_depth <= report.queue.max_depth as f64);
@@ -1985,7 +1946,7 @@ mod tests {
     fn arrivals_label_is_settable() {
         let fleet = FleetConfig::standard(1);
         let requests = traffic(7).requests(20);
-        let plain = simulate(&fleet, &mut Fifo, &requests, false);
+        let plain = Simulation::new(&fleet).run(&mut Fifo, &requests);
         assert_eq!(plain.arrivals, "trace", "default label unchanged");
         let labeled = Simulation::new(&fleet)
             .arrivals_label("replayed-capture")
@@ -2004,7 +1965,7 @@ mod tests {
             mix: RequestMix::Production,
             seed: 17,
         };
-        let report = serve(&fleet, &mut Fifo, &spec, 300);
+        let report = Simulation::new(&fleet).run(&mut Fifo, &spec.requests(300));
         let interactive = report.class(RequestClass::Interactive).unwrap();
         let background = report.class(RequestClass::Background).unwrap();
         let (i_lat, b_lat) = (interactive.latency.unwrap(), background.latency.unwrap());
@@ -2025,7 +1986,7 @@ mod tests {
             seed: 9,
         };
         let requests = spec.requests(400);
-        let open = simulate(&fleet, &mut Fifo, &requests, false);
+        let open = Simulation::new(&fleet).run(&mut Fifo, &requests);
         assert_eq!(open.rejected, 0);
 
         let capped = Simulation::new(&fleet)
@@ -2075,7 +2036,7 @@ mod tests {
     fn preemption_fires_and_helps_interactive_latency() {
         let fleet = FleetConfig::standard(1);
         let requests = bursty_lulls(13, 250, 2.5);
-        let patient = simulate(&fleet, &mut Fifo, &requests, false);
+        let patient = Simulation::new(&fleet).run(&mut Fifo, &requests);
         assert!(patient.preemptions.is_empty(), "off by default");
         let eager = Simulation::new(&fleet)
             .preemption(PreemptionControl::after_wait(0.05))
@@ -2171,7 +2132,7 @@ mod tests {
         // non-preemptive run exactly when no preemption ever fires.
         let fleet = FleetConfig::standard(1);
         let requests = traffic(3).requests(20);
-        let off = simulate(&fleet, &mut Fifo, &requests, false);
+        let off = Simulation::new(&fleet).run(&mut Fifo, &requests);
         let on = Simulation::new(&fleet)
             .preemption(PreemptionControl::after_wait(30.0))
             .run(&mut Fifo, &requests);
@@ -2215,7 +2176,7 @@ mod tests {
         let elastic = Simulation::new(&fleet)
             .autoscale(AutoscalerConfig::standard())
             .run(&mut LeastLoaded, &requests);
-        let static_run = simulate(&fleet, &mut LeastLoaded, &requests, false);
+        let static_run = Simulation::new(&fleet).run(&mut LeastLoaded, &requests);
         assert_eq!(elastic.completed, requests.len());
         assert!(!elastic.scaling.is_empty(), "bursts must trigger scaling");
         assert!(
@@ -2338,7 +2299,7 @@ mod tests {
             seed: 11,
         };
         let requests = spec.requests(200);
-        let open = simulate(&fleet, &mut LeastLoaded, &requests, false);
+        let open = Simulation::new(&fleet).run(&mut LeastLoaded, &requests);
         let shedding = Simulation::new(&fleet)
             .admission(AdmissionControl::shed_background_at(0))
             .run(&mut LeastLoaded, &requests);
@@ -2368,7 +2329,7 @@ mod tests {
             seed: 19,
         };
         let requests = spec.requests(100);
-        let whole = simulate(&fleet, &mut LeastLoaded, &requests, false);
+        let whole = Simulation::new(&fleet).run(&mut LeastLoaded, &requests);
         let sharded = Simulation::new(&fleet).run(&mut ShardedLeastLoaded::new(4), &requests);
         assert_eq!(sharded.completed, requests.len());
         assert!(sharded.sharded_requests > 0, "light load must fan out");
@@ -2447,21 +2408,118 @@ mod tests {
         // same schedule, same JSON — apart from the policy name.
         let fleet = FleetConfig::standard(3);
         let requests = overload(7, 250);
-        let whole = simulate(&fleet, &mut LeastLoaded, &requests, false);
+        let whole = Simulation::new(&fleet).run(&mut LeastLoaded, &requests);
         let mut one = Simulation::new(&fleet).run(&mut ShardedLeastLoaded::new(1), &requests);
         assert_eq!(one.policy, "least-loaded-sharded");
         one.policy = whole.policy.clone();
         assert_eq!(one, whole);
-        let sjf = simulate(
-            &fleet,
-            &mut crate::policy::ShortestJobFirst,
-            &requests,
-            false,
-        );
+        let sjf = Simulation::new(&fleet).run(&mut crate::policy::ShortestJobFirst, &requests);
         let mut one_sjf =
             Simulation::new(&fleet).run(&mut ShardedShortestJobFirst::new(1), &requests);
         one_sjf.policy = sjf.policy.clone();
         assert_eq!(one_sjf, sjf);
+    }
+
+    /// One shard's occupancy of a pipeline lane, read off a recorded run.
+    #[derive(Debug, Clone, Copy)]
+    struct Span {
+        id: u64,
+        card: usize,
+        pipeline: usize,
+        start: f64,
+        end: f64,
+        jobs: usize,
+    }
+
+    /// Every shard's span: from its `ShardStart` to the `ShardFinish`,
+    /// `Preempted` or `CardDeath` event that ended it.
+    fn shard_spans(events: &[TraceEvent]) -> Vec<Span> {
+        let mut open = std::collections::BTreeMap::new();
+        let mut spans = Vec::new();
+        for e in events {
+            match *e {
+                TraceEvent::ShardStart {
+                    t,
+                    id,
+                    shard,
+                    card,
+                    pipeline,
+                    jobs,
+                } => {
+                    let span = Span {
+                        id,
+                        card,
+                        pipeline,
+                        start: t,
+                        end: t,
+                        jobs,
+                    };
+                    open.insert((id, shard), span);
+                }
+                TraceEvent::ShardFinish { t, id, shard, .. }
+                | TraceEvent::Preempted {
+                    t,
+                    victim: id,
+                    shard,
+                    ..
+                } => {
+                    let span = open
+                        .remove(&(id, shard))
+                        .expect("shard ended before it started");
+                    spans.push(Span { end: t, ..span });
+                }
+                TraceEvent::CardDeath {
+                    t,
+                    card,
+                    shards_lost,
+                } => {
+                    let before = spans.len();
+                    open.retain(|_, span: &mut Span| {
+                        let lost = span.card == card;
+                        if lost {
+                            spans.push(Span { end: t, ..*span });
+                        }
+                        !lost
+                    });
+                    assert_eq!(spans.len() - before, shards_lost);
+                }
+                _ => {}
+            }
+        }
+        assert!(open.is_empty(), "a drained run leaves no shard running");
+        spans
+    }
+
+    /// Asserts that no two spans overlap on one (card, pipeline) lane.
+    fn assert_lanes_disjoint(spans: &mut [Span]) {
+        spans.sort_by(|a, b| {
+            (a.card, a.pipeline)
+                .cmp(&(b.card, b.pipeline))
+                .then(a.start.total_cmp(&b.start))
+        });
+        for w in spans.windows(2) {
+            assert!(w[0].end > w[0].start, "empty span {:?}", w[0]);
+            if (w[0].card, w[0].pipeline) == (w[1].card, w[1].pipeline) {
+                assert!(
+                    w[0].end <= w[1].start + 1e-12,
+                    "overlap: {:?} then {:?}",
+                    w[0],
+                    w[1]
+                );
+            }
+        }
+    }
+
+    /// Asserts that each request's shards carry its whole job grid once.
+    fn assert_every_job_placed_once(spans: &[Span], requests: &[Request]) {
+        let mut jobs = std::collections::BTreeMap::new();
+        for s in spans {
+            *jobs.entry(s.id).or_insert(0) += s.jobs;
+        }
+        assert_eq!(jobs.len(), requests.len());
+        for r in requests {
+            assert_eq!(jobs[&r.id], r.shape.jobs(), "request {}", r.id);
+        }
     }
 
     #[test]
@@ -2469,30 +2527,17 @@ mod tests {
         use crate::policy::ShardedLeastLoaded;
         let fleet = FleetConfig::standard(2);
         let requests = traffic(23).requests(30);
-        let report = Simulation::new(&fleet)
-            .trace(true)
-            .run(&mut ShardedLeastLoaded::new(3), &requests);
-        let expected_jobs: usize = requests.iter().map(|r| r.shape.jobs()).sum();
-        assert_eq!(report.placements.len(), expected_jobs);
+        let mut sink = RecordingSink::new();
+        let report = Simulation::new(&fleet).run_traced(
+            &mut ShardedLeastLoaded::new(3),
+            &requests,
+            &mut sink,
+        );
         assert!(report.sharded_requests > 0);
-        // Fan-out still never overlaps two jobs on one pipeline lane.
-        let mut lanes: std::collections::BTreeMap<(usize, usize), Vec<(f64, f64)>> =
-            std::collections::BTreeMap::new();
-        for (card, p) in &report.placements {
-            lanes
-                .entry((*card, p.pipeline))
-                .or_default()
-                .push((p.start, p.end));
-        }
-        for ((card, pipe), mut spans) in lanes {
-            spans.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            for w in spans.windows(2) {
-                assert!(
-                    w[0].1 <= w[1].0 + 1e-12,
-                    "overlap on card {card} pipeline {pipe}: {w:?}"
-                );
-            }
-        }
+        let mut spans = shard_spans(&sink.events);
+        assert_every_job_placed_once(&spans, &requests);
+        // Fan-out still never overlaps two shards on one pipeline lane.
+        assert_lanes_disjoint(&mut spans);
     }
 
     #[test]
@@ -2522,37 +2567,11 @@ mod tests {
     fn traced_run_places_every_job() {
         let fleet = FleetConfig::standard(2);
         let requests = traffic(7).requests(40);
-        let report = simulate(&fleet, &mut LeastLoaded, &requests, true);
-        let expected_jobs: usize = requests.iter().map(|r| r.shape.jobs()).sum();
-        assert_eq!(report.placements.len(), expected_jobs);
-        // Placements on one (card, pipeline) never overlap.
-        let mut lanes: std::collections::BTreeMap<(usize, usize), Vec<(f64, f64)>> =
-            std::collections::BTreeMap::new();
-        for (card, p) in &report.placements {
-            lanes
-                .entry((*card, p.pipeline))
-                .or_default()
-                .push((p.start, p.end));
-        }
-        for ((card, pipe), mut spans) in lanes {
-            spans.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            for w in spans.windows(2) {
-                assert!(
-                    w[0].1 <= w[1].0 + 1e-12,
-                    "overlap on card {card} pipeline {pipe}: {w:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn trace_mode_does_not_change_metrics() {
-        let fleet = FleetConfig::standard(2);
-        let requests = traffic(9).requests(100);
-        let traced = simulate(&fleet, &mut LeastLoaded, &requests, true);
-        let untraced = simulate(&fleet, &mut LeastLoaded, &requests, false);
-        assert_eq!(traced.latency, untraced.latency);
-        assert_eq!(traced.queue.max_depth, untraced.queue.max_depth);
+        let mut sink = RecordingSink::new();
+        Simulation::new(&fleet).run_traced(&mut LeastLoaded, &requests, &mut sink);
+        let mut spans = shard_spans(&sink.events);
+        assert_every_job_placed_once(&spans, &requests);
+        assert_lanes_disjoint(&mut spans);
     }
 
     #[test]
@@ -2566,13 +2585,8 @@ mod tests {
             seed: 21,
         };
         let requests = spec.requests(300);
-        let fifo = simulate(&fleet, &mut Fifo, &requests, false);
-        let sjf = simulate(
-            &fleet,
-            &mut crate::policy::ShortestJobFirst,
-            &requests,
-            false,
-        );
+        let fifo = Simulation::new(&fleet).run(&mut Fifo, &requests);
+        let sjf = Simulation::new(&fleet).run(&mut crate::policy::ShortestJobFirst, &requests);
         assert!(
             sjf.latency.unwrap().p50 < fifo.latency.unwrap().p50,
             "SJF p50 {} vs FIFO p50 {}",
@@ -2584,7 +2598,7 @@ mod tests {
     #[test]
     fn heterogeneous_fleet_uses_both_groups() {
         let fleet = FleetConfig::mixed_precision(2, 2);
-        let report = serve(&fleet, &mut LeastLoaded, &traffic(5), 400);
+        let report = Simulation::new(&fleet).run(&mut LeastLoaded, &traffic(5).requests(400));
         assert_eq!(report.completed, 400);
         assert_eq!(report.groups.len(), 2);
         assert!(
@@ -2601,21 +2615,28 @@ mod tests {
     fn unsorted_requests_rejected() {
         let mut requests = traffic(1).requests(10);
         requests.reverse();
-        let _ = simulate(&FleetConfig::standard(1), &mut Fifo, &requests, false);
+        let _ = Simulation::new(&FleetConfig::standard(1)).run(&mut Fifo, &requests);
     }
 
     #[test]
-    // In debug builds the up-front uniqueness assert fires; in release
-    // that check is compiled out and the dispatch queue's own duplicate
-    // detection panics instead. Both messages name the request id.
-    #[should_panic(expected = "request id")]
+    #[should_panic(expected = "request ids must be unique")]
     fn duplicate_request_ids_rejected() {
         // E.g. two independently generated traces naively concatenated:
         // both number requests from 0, which would make the kernel's
         // id-based tie-breaking ambiguous.
         let mut requests = traffic(1).requests(10);
         requests[3].id = requests[7].id;
-        let _ = simulate(&FleetConfig::standard(1), &mut Fifo, &requests, false);
+        let _ = Simulation::new(&FleetConfig::standard(1)).run(&mut Fifo, &requests);
+    }
+
+    #[test]
+    #[should_panic(expected = "request ids must be unique")]
+    fn sparse_duplicate_request_ids_rejected() {
+        // Ids outside `0..n` take the sorting check instead of the bitmap.
+        let mut requests = traffic(1).requests(10);
+        requests[3].id = 1_000;
+        requests[7].id = 1_000;
+        let _ = Simulation::new(&FleetConfig::standard(1)).run(&mut Fifo, &requests);
     }
 
     #[test]
@@ -2624,7 +2645,7 @@ mod tests {
         // kernel exactly: same report, same JSON bytes, no faults block.
         let fleet = FleetConfig::standard(2);
         let requests = traffic(19).requests(200);
-        let plain = simulate(&fleet, &mut LeastLoaded, &requests, false);
+        let plain = Simulation::new(&fleet).run(&mut LeastLoaded, &requests);
         let gated = Simulation::new(&fleet)
             .faults(crate::fault::FaultPlan::none())
             .run(&mut LeastLoaded, &requests);
@@ -2751,7 +2772,7 @@ mod tests {
         let fleet = FleetConfig::standard(1);
         let requests = overload(5, 200);
         let t0 = requests[0].arrival;
-        let healthy = simulate(&fleet, &mut Fifo, &requests, false);
+        let healthy = Simulation::new(&fleet).run(&mut Fifo, &requests);
         // A 3× calibration shift from the first arrival on the only card:
         // the whole schedule stretches.
         let slow = Simulation::new(&fleet)
@@ -2856,8 +2877,8 @@ mod tests {
         let tagged = spec.requests(60);
         let plain = spec.requests_sessionless(60);
         let fleet = FleetConfig::standard(2);
-        let mut with_sessions = simulate(&fleet, &mut LeastLoaded, &tagged, false);
-        let without = simulate(&fleet, &mut LeastLoaded, &plain, false);
+        let mut with_sessions = Simulation::new(&fleet).run(&mut LeastLoaded, &tagged);
+        let without = Simulation::new(&fleet).run(&mut LeastLoaded, &plain);
         let sessions = with_sessions.sessions.clone().expect("tagged traffic");
         assert_eq!(sessions.sessions, 60);
         assert_eq!(sessions.turns_completed, with_sessions.completed);
@@ -2890,7 +2911,7 @@ mod tests {
         let run = || Simulation::new(&fleet).run(&mut SessionAffinity::new(64), &requests);
         let sticky = run();
         assert_eq!(sticky, run(), "affinity runs stay deterministic");
-        let loose = simulate(&fleet, &mut LeastLoaded, &requests, false);
+        let loose = Simulation::new(&fleet).run(&mut LeastLoaded, &requests);
         assert_eq!(sticky.policy, "session-affinity");
         assert_eq!(sticky.completed, requests.len());
         assert_eq!(loose.completed, requests.len());
@@ -2903,7 +2924,7 @@ mod tests {
         // least-loaded bit for bit (modulo the policy name).
         let plain = spec.requests_sessionless(80);
         let mut reduced = Simulation::new(&fleet).run(&mut SessionAffinity::new(64), &plain);
-        let baseline = simulate(&fleet, &mut LeastLoaded, &plain, false);
+        let baseline = Simulation::new(&fleet).run(&mut LeastLoaded, &plain);
         assert_eq!(reduced.policy, "session-affinity");
         reduced.policy = baseline.policy.clone();
         assert_eq!(reduced, baseline);

@@ -22,7 +22,7 @@ use swat_serve::policy::{
 };
 use swat_serve::scale::AutoscalerConfig;
 use swat_serve::session::{SessionProfile, SessionTraffic};
-use swat_serve::sim::{simulate, AdmissionControl, PreemptionControl, Simulation, TrafficSpec};
+use swat_serve::sim::{AdmissionControl, PreemptionControl, Simulation, TrafficSpec};
 use swat_serve::ServeReport;
 use swat_workloads::RequestMix;
 
@@ -172,7 +172,7 @@ proptest! {
         let fleet = FleetConfig::standard(cards);
         let spec = TrafficSpec { arrivals, mix: RequestMix::Production, seed };
         let requests = spec.requests(60);
-        let plain = simulate(&fleet, &mut *policy_by_index(policy_idx), &requests, false);
+        let plain = Simulation::new(&fleet).run(&mut *policy_by_index(policy_idx), &requests);
         let gated = Simulation::new(&fleet)
             .faults(FaultPlan::none())
             .run(&mut *policy_by_index(policy_idx), &requests);

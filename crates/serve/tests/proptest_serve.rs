@@ -15,7 +15,7 @@ use swat_serve::policy::{
 };
 use swat_serve::scale::AutoscalerConfig;
 use swat_serve::sim::{
-    simulate, AdmissionControl, DecodeBatching, PreemptionControl, Simulation, TrafficSpec,
+    AdmissionControl, DecodeBatching, PreemptionControl, Simulation, TrafficSpec,
 };
 use swat_serve::trace::{ChromeTraceSink, RecordingSink, TelemetryMode, TraceEvent};
 use swat_workloads::{DecodeMix, RequestClass, RequestMix, RequestShape};
@@ -76,10 +76,81 @@ fn any_mix() -> impl Strategy<Value = RequestMix> {
     ]
 }
 
+/// One shard's occupancy of a pipeline lane, read off a recorded run.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    card: usize,
+    pipeline: usize,
+    start: f64,
+    end: f64,
+    jobs: usize,
+}
+
+/// Every shard's span — the run's placement record: from its
+/// `ShardStart` to the `ShardFinish`, `Preempted` or `CardDeath` event
+/// that ended it.
+fn shard_spans(events: &[TraceEvent]) -> Vec<Span> {
+    let mut open = std::collections::BTreeMap::new();
+    let mut spans = Vec::new();
+    for e in events {
+        match *e {
+            TraceEvent::ShardStart {
+                t,
+                id,
+                shard,
+                card,
+                pipeline,
+                jobs,
+            } => {
+                open.insert(
+                    (id, shard),
+                    Span {
+                        card,
+                        pipeline,
+                        start: t,
+                        end: t,
+                        jobs,
+                    },
+                );
+            }
+            TraceEvent::ShardFinish { t, id, shard, .. }
+            | TraceEvent::Preempted {
+                t,
+                victim: id,
+                shard,
+                ..
+            } => {
+                let span = open
+                    .remove(&(id, shard))
+                    .expect("shard ended before it started");
+                spans.push(Span { end: t, ..span });
+            }
+            TraceEvent::CardDeath {
+                t,
+                card,
+                shards_lost,
+            } => {
+                let before = spans.len();
+                open.retain(|_, span: &mut Span| {
+                    let lost = span.card == card;
+                    if lost {
+                        spans.push(Span { end: t, ..*span });
+                    }
+                    !lost
+                });
+                assert_eq!(spans.len() - before, shards_lost);
+            }
+            _ => {}
+        }
+    }
+    assert!(open.is_empty(), "a drained run leaves no shard running");
+    spans
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// No two placements ever overlap on one (card, pipeline) lane, under
+    /// No two shard spans ever overlap on one (card, pipeline) lane, under
     /// any policy, fleet size and traffic.
     #[test]
     fn placements_never_overlap(
@@ -87,31 +158,42 @@ proptest! {
         policy_idx in any_policy(),
         arrivals in any_arrivals(),
         mix in any_mix(),
+        evictions in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let spec = TrafficSpec { arrivals, mix, seed };
         let requests = spec.requests(60);
         let mut policy = policy_by_index(policy_idx);
-        let report = simulate(&FleetConfig::standard(cards), &mut *policy, &requests, true);
-
-        let mut lanes: std::collections::BTreeMap<(usize, usize), Vec<(f64, f64)>> =
-            std::collections::BTreeMap::new();
-        for (card, p) in &report.placements {
-            prop_assert!(p.end > p.start, "empty placement {p:?}");
-            lanes.entry((*card, p.pipeline)).or_default().push((p.start, p.end));
+        let fleet = FleetConfig::standard(cards);
+        let mut sim = Simulation::new(&fleet);
+        if evictions {
+            // Preempted and killed shards end early: their lanes free at
+            // the eviction instant, not at the admitted finish.
+            sim = sim.preemption(PreemptionControl::after_wait(0.05)).faults(
+                FaultPlan::none()
+                    .kill(requests[20].arrival, 0)
+                    .revive(requests[40].arrival, 0, 0.1),
+            );
         }
-        for (lane, mut spans) in lanes {
-            spans.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-            for w in spans.windows(2) {
+        let mut sink = RecordingSink::new();
+        sim.run_traced(&mut *policy, &requests, &mut sink);
+
+        let mut spans = shard_spans(&sink.events);
+        spans.sort_by(|a, b| {
+            (a.card, a.pipeline).cmp(&(b.card, b.pipeline)).then(a.start.total_cmp(&b.start))
+        });
+        for w in spans.windows(2) {
+            prop_assert!(w[0].end > w[0].start, "empty span {:?}", w[0]);
+            if (w[0].card, w[0].pipeline) == (w[1].card, w[1].pipeline) {
                 prop_assert!(
-                    w[0].1 <= w[1].0 + 1e-12,
-                    "overlap on lane {lane:?}: {:?} then {:?}", w[0], w[1]
+                    w[0].end <= w[1].start + 1e-12,
+                    "overlap: {:?} then {:?}", w[0], w[1]
                 );
             }
         }
     }
 
-    /// The fleet makespan is at least the longest single job anywhere in
+    /// The fleet makespan is at least the longest single job anywhere    /// The fleet makespan is at least the longest shard span anywhere in
     /// the trace, and at least every request's isolated service time.
     #[test]
     fn makespan_dominates_longest_job(
@@ -126,15 +208,16 @@ proptest! {
         };
         let requests = spec.requests(50);
         let mut policy = policy_by_index(policy_idx);
-        let report = simulate(&FleetConfig::standard(cards), &mut *policy, &requests, true);
-        let longest_job = report
-            .placements
+        let mut sink = RecordingSink::new();
+        let report = Simulation::new(&FleetConfig::standard(cards))
+            .run_traced(&mut *policy, &requests, &mut sink);
+        let longest_span = shard_spans(&sink.events)
             .iter()
-            .map(|(_, p)| p.end - p.start)
+            .map(|s| s.end - s.start)
             .fold(0.0f64, f64::max);
         prop_assert!(
-            report.makespan >= longest_job - 1e-12,
-            "makespan {} < longest job {}", report.makespan, longest_job
+            report.makespan >= longest_span - 1e-12,
+            "makespan {} < longest shard {}", report.makespan, longest_span
         );
         // Each request's latency covers its own service time.
         let fleet = FleetConfig::standard(cards).build().expect("valid fleet");
@@ -157,7 +240,7 @@ proptest! {
         let requests = spec.requests(80);
         let run = |requests: &[swat_serve::Request]| {
             let mut policy = policy_by_index(policy_idx);
-            simulate(&FleetConfig::standard(cards), &mut *policy, requests, false)
+            Simulation::new(&FleetConfig::standard(cards)).run(&mut *policy, requests)
         };
         let a = run(&requests);
         let b = run(&requests);
@@ -178,7 +261,7 @@ proptest! {
         let spec = TrafficSpec { arrivals, mix, seed };
         let requests = spec.requests(70);
         let mut policy = policy_by_index(policy_idx);
-        let report = simulate(&FleetConfig::standard(cards), &mut *policy, &requests, false);
+        let report = Simulation::new(&FleetConfig::standard(cards)).run(&mut *policy, &requests);
         let l = report.latency.expect("every request completed");
         prop_assert!(l.p50 <= l.p95, "p50 {} > p95 {}", l.p50, l.p95);
         prop_assert!(l.p95 <= l.p99, "p95 {} > p99 {}", l.p95, l.p99);
@@ -213,7 +296,7 @@ proptest! {
         let requests = spec.requests(70);
         let run = || {
             let mut policy = policy_by_index(policy_idx);
-            simulate(&fleet, &mut *policy, &requests, false)
+            Simulation::new(&fleet).run(&mut *policy, &requests)
         };
         let a = run();
         let b = run();
@@ -236,7 +319,7 @@ proptest! {
         let spec = TrafficSpec { arrivals, mix: RequestMix::Production, seed };
         let requests = spec.requests(80);
         let mut policy = policy_by_index(policy_idx);
-        let report = simulate(&FleetConfig::standard(cards), &mut *policy, &requests, false);
+        let report = Simulation::new(&FleetConfig::standard(cards)).run(&mut *policy, &requests);
         prop_assert!(!report.classes.is_empty());
         for class in &report.classes {
             prop_assert_eq!(class.offered, class.completed + class.rejected);
@@ -538,10 +621,11 @@ proptest! {
             template.class,
         )];
         let fleet = FleetConfig::standard(cards);
-        let whole = simulate(&fleet, &mut LeastLoaded, &requests, true);
+        let whole = Simulation::new(&fleet).run(&mut LeastLoaded, &requests);
+        let mut sink = RecordingSink::new();
         let sharded_report = {
             let mut policy = ShardedLeastLoaded::new(max_shards);
-            Simulation::new(&fleet).trace(true).run(&mut policy, &requests)
+            Simulation::new(&fleet).run_traced(&mut policy, &requests, &mut sink)
         };
         let w = whole.latency.expect("completed").max;
         let s = sharded_report.latency.expect("completed").max;
@@ -550,7 +634,8 @@ proptest! {
             "sharded latency {s} exceeds whole-request {w} (max_shards {max_shards})"
         );
         // Fan-out places every job exactly once.
-        prop_assert_eq!(sharded_report.placements.len(), shape.jobs());
+        let placed: usize = shard_spans(&sink.events).iter().map(|s| s.jobs).sum();
+        prop_assert_eq!(placed, shape.jobs());
         prop_assert!(sharded_report.max_shards <= max_shards);
     }
 
@@ -702,12 +787,23 @@ proptest! {
         };
         let requests = spec.requests(60);
         let mut policy = LeastLoaded;
-        let report = simulate(&FleetConfig::standard(cards), &mut policy, &requests, true);
+        let fleet = FleetConfig::standard(cards);
+        let mut sink = RecordingSink::new();
+        let report = Simulation::new(&fleet).run_traced(&mut policy, &requests, &mut sink);
         for c in &report.cards {
             prop_assert!(c.utilization >= 0.0 && c.utilization <= 1.0 + 1e-12,
                 "utilization {}", c.utilization);
         }
-        let placed: f64 = report.placements.iter().map(|(_, p)| p.end - p.start).sum();
+        let spans = shard_spans(&sink.events);
+        let placed: f64 = spans.iter().map(|s| s.end - s.start).sum();
+        let busy: f64 = report
+            .cards
+            .iter()
+            .map(|c| c.utilization * report.makespan * fleet.groups[c.group].card.pipelines as f64)
+            .sum();
+        prop_assert!((placed - busy).abs() <= 1e-9 * busy, "placed {placed} vs busy {busy}");
+        let jobs: usize = spans.iter().map(|s| s.jobs).sum();
+        prop_assert_eq!(jobs, requests.iter().map(|r| r.shape.jobs()).sum::<usize>());
         let served: u64 = report.cards.iter().map(|c| c.served).sum();
         prop_assert_eq!(served as usize, requests.len());
         prop_assert!(placed > 0.0);

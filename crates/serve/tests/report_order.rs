@@ -128,7 +128,6 @@ fn report(completed: &[CompletedRequest], rejected: &[Request], failed: &[Reques
         Vec::new(),
         None,
         None,
-        Vec::new(),
     )
     .to_json()
     .pretty()
@@ -179,7 +178,6 @@ fn generated_traffic_exercises_every_block() {
         Vec::new(),
         None,
         None,
-        Vec::new(),
     );
     assert_eq!(report.classes.len(), 3);
     assert!(report.max_shards > 1);

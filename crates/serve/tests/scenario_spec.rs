@@ -285,3 +285,122 @@ fn out_of_fleet_fault_is_a_diagnostic_not_a_panic() {
     let err = spec.run().unwrap_err();
     assert!(err.contains("card 3"), "{err}");
 }
+
+/// Bytes a JSON document is made of, so arbitrary byte strings reach
+/// past the first token often enough to exercise the whole parser.
+const JSON_BYTES: &[u8] = b"{}[]:,\"\\ -+.0123456789eEtrufalsn\n";
+
+/// An arbitrary JSON value, two levels deep: every scalar kind, with
+/// the small integers and enum-like strings a spec field expects mixed
+/// in among the wild ones.
+fn any_json() -> BoxedStrategy<Json> {
+    let leaf = || {
+        prop_oneof![
+            Just(Json::Null),
+            any::<bool>().prop_map(Json::Bool),
+            (-3i64..5).prop_map(Json::Int),
+            any::<i64>().prop_map(Json::Int),
+            any::<u64>().prop_map(Json::UInt),
+            any::<u64>().prop_map(|bits| {
+                let x = f64::from_bits(bits);
+                Json::Num(if x.is_finite() { x } else { -0.5 })
+            }),
+            prop_oneof![
+                Just(""),
+                Just("poisson"),
+                Just("production"),
+                Just("fp16-dual"),
+                Just("kill"),
+                Just("least-loaded"),
+            ]
+            .prop_map(|s| Json::Str(s.to_string())),
+        ]
+    };
+    let key = prop_oneof![Just("rate"), Just("count"), Just("kind"), Just("x")];
+    prop_oneof![
+        leaf(),
+        proptest::collection::vec(leaf(), 0..4).prop_map(Json::Arr),
+        proptest::collection::vec((key, leaf()), 0..4).prop_map(|fields| {
+            Json::Obj(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect(),
+            )
+        }),
+    ]
+    .boxed()
+}
+
+/// The values below `json`: object fields and array elements, at any
+/// depth.
+fn count_values(json: &Json) -> usize {
+    match json {
+        Json::Arr(items) => items.iter().map(|v| 1 + count_values(v)).sum(),
+        Json::Obj(fields) => fields.iter().map(|(_, v)| 1 + count_values(v)).sum(),
+        _ => 0,
+    }
+}
+
+/// Replaces the `n`-th value below `json` (object fields and array
+/// elements, in pre-order) with `value`; returns whether one was found.
+fn replace_nth(json: &mut Json, n: &mut usize, value: &Json) -> bool {
+    let children: Vec<&mut Json> = match json {
+        Json::Arr(items) => items.iter_mut().collect(),
+        Json::Obj(fields) => fields.iter_mut().map(|(_, v)| v).collect(),
+        _ => return false,
+    };
+    for child in children {
+        if *n == 0 {
+            *child = value.clone();
+            return true;
+        }
+        *n -= 1;
+        if replace_nth(child, n, value) {
+            return true;
+        }
+    }
+    false
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hostile text never panics the parser: arbitrary bytes, decoded as
+    /// lossy UTF-8, parse to a value or a diagnostic — and whatever
+    /// parses loads as a spec or a diagnostic too.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_parser(
+        bytes in proptest::collection::vec(
+            prop_oneof![
+                any::<u8>(),
+                (0..JSON_BYTES.len()).prop_map(|i| JSON_BYTES[i]),
+            ],
+            0..96,
+        ),
+    ) {
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(json) = Json::parse(&text) {
+            if let Ok(spec) = ScenarioSpec::from_json(&json) {
+                let _ = spec.validate();
+            }
+        }
+    }
+
+    /// Well-formed but wrong JSON never panics the loader: a valid spec
+    /// with one field (at any depth) replaced by an arbitrary value
+    /// loads and validates to `Ok` or a diagnostic.
+    #[test]
+    fn one_wrong_field_never_panics_the_loader(
+        spec in any_spec(),
+        field in any::<usize>(),
+        value in any_json(),
+    ) {
+        let mut json = spec.to_json();
+        let mut n = field % count_values(&json);
+        prop_assert!(replace_nth(&mut json, &mut n, &value));
+        if let Ok(spec) = ScenarioSpec::from_json(&json) {
+            let _ = spec.validate();
+        }
+    }
+}

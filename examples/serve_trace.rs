@@ -46,7 +46,7 @@ fn main() {
 
     let mut sink = ChromeTraceSink::new(&fleet);
     let report = Simulation::new(&fleet)
-        .arrivals_label(format!("{}/{}", spec.arrivals.name(), spec.mix.name()))
+        .arrivals_label(spec.label())
         .admission(
             AdmissionControl::admit_all()
                 .with_cap(RequestClass::Batch, 48)

@@ -4,7 +4,8 @@
 use swat_serve::arrival::ArrivalProcess;
 use swat_serve::fleet::FleetConfig;
 use swat_serve::policy::{all_policies, LeastLoaded};
-use swat_serve::sim::{serve, simulate, AdmissionControl, Simulation, TrafficSpec};
+use swat_serve::sim::{AdmissionControl, Simulation, TrafficSpec};
+use swat_serve::trace::RecordingSink;
 use swat_workloads::{RequestClass, RequestMix};
 
 fn spec(seed: u64) -> TrafficSpec {
@@ -19,7 +20,9 @@ fn spec(seed: u64) -> TrafficSpec {
 fn four_card_fleet_serves_production_traffic() {
     let fleet = FleetConfig::standard(4);
     for mut policy in all_policies() {
-        let report = serve(&fleet, &mut *policy, &spec(1), 600);
+        let report = Simulation::new(&fleet)
+            .arrivals_label(spec(1).label())
+            .run(&mut *policy, &spec(1).requests(600));
         assert_eq!(report.completed, 600, "{}", report.policy);
         assert_eq!(report.cards.len(), 4);
         // Every card got work under every policy at this load.
@@ -44,7 +47,7 @@ fn service_times_come_from_the_calibrated_model() {
     let fleet_cfg = FleetConfig::standard(1);
     let fleet = fleet_cfg.build().unwrap();
     let requests = spec(3).requests(1);
-    let report = simulate(&fleet_cfg, &mut LeastLoaded, &requests, false);
+    let report = Simulation::new(&fleet_cfg).run(&mut LeastLoaded, &requests);
     let shape = requests[0].shape;
     let card = &fleet.cards()[0];
     let expect = card.swap_seconds(&shape)
@@ -68,13 +71,8 @@ fn head_affinity_reduces_weight_swaps() {
         seed: 13,
     };
     let requests = light.requests(800);
-    let fifo = simulate(&fleet, &mut swat_serve::policy::Fifo, &requests, false);
-    let affinity = simulate(
-        &fleet,
-        &mut swat_serve::policy::HeadAffinity,
-        &requests,
-        false,
-    );
+    let fifo = Simulation::new(&fleet).run(&mut swat_serve::policy::Fifo, &requests);
+    let affinity = Simulation::new(&fleet).run(&mut swat_serve::policy::HeadAffinity, &requests);
     // Not a full elimination: more families than cards means some homes
     // are shared (pigeonhole), so a sizeable reduction is the right bar.
     assert!(
@@ -88,18 +86,8 @@ fn head_affinity_reduces_weight_swaps() {
 #[test]
 fn more_cards_reduce_tail_latency() {
     let requests = spec(7).requests(800);
-    let small = simulate(
-        &FleetConfig::standard(2),
-        &mut LeastLoaded,
-        &requests,
-        false,
-    );
-    let large = simulate(
-        &FleetConfig::standard(8),
-        &mut LeastLoaded,
-        &requests,
-        false,
-    );
+    let small = Simulation::new(&FleetConfig::standard(2)).run(&mut LeastLoaded, &requests);
+    let large = Simulation::new(&FleetConfig::standard(8)).run(&mut LeastLoaded, &requests);
     let (large_lat, small_lat) = (large.latency.unwrap(), small.latency.unwrap());
     assert!(
         large_lat.p99 <= small_lat.p99,
@@ -117,7 +105,9 @@ fn mixed_precision_fleet_serves_production_traffic() {
     // and the report accounts each card to its group.
     let fleet = FleetConfig::mixed_precision(3, 2);
     for mut policy in all_policies() {
-        let report = serve(&fleet, &mut *policy, &spec(19), 600);
+        let report = Simulation::new(&fleet)
+            .arrivals_label(spec(19).label())
+            .run(&mut *policy, &spec(19).requests(600));
         assert_eq!(report.completed, 600, "{}", report.policy);
         assert_eq!(report.cards.len(), 5);
         assert_eq!(report.groups.len(), 2);
@@ -146,7 +136,7 @@ fn admission_control_protects_interactive_tail() {
         seed: 23,
     };
     let requests = heavy.requests(700);
-    let open = simulate(&fleet, &mut LeastLoaded, &requests, false);
+    let open = Simulation::new(&fleet).run(&mut LeastLoaded, &requests);
     let capped = Simulation::new(&fleet)
         .admission(AdmissionControl::shed_background_at(8))
         .run(&mut LeastLoaded, &requests);
@@ -176,7 +166,9 @@ fn admission_control_protects_interactive_tail() {
 
 #[test]
 fn json_report_has_the_required_fields() {
-    let report = serve(&FleetConfig::standard(4), &mut LeastLoaded, &spec(9), 200);
+    let report = Simulation::new(&FleetConfig::standard(4))
+        .arrivals_label(spec(9).label())
+        .run(&mut LeastLoaded, &spec(9).requests(200));
     let json = report.to_json().pretty();
     for key in [
         "\"policy\"",
@@ -202,13 +194,15 @@ fn json_report_has_the_required_fields() {
 
 #[test]
 fn replay_is_reproducible_across_entry_points() {
-    // Generating the trace and serving it manually must agree with the
-    // `serve` convenience wrapper, bit for bit.
+    // The three entry points — plain, traced, and profiled on an owned
+    // trace — serve one generated trace bit for bit alike.
     let fleet = FleetConfig::standard(3);
+    let sim = Simulation::new(&fleet).arrivals_label(spec(11).label());
     let requests = spec(11).requests(300);
-    let manual = simulate(&fleet, &mut LeastLoaded, &requests, false);
-    let wrapped = serve(&fleet, &mut LeastLoaded, &spec(11), 300);
-    assert_eq!(manual.latency, wrapped.latency);
-    assert_eq!(manual.queue.max_depth, wrapped.queue.max_depth);
-    assert_eq!(manual.energy_joules, wrapped.energy_joules);
+    let plain = sim.run(&mut LeastLoaded, &requests);
+    let traced = sim.run_traced(&mut LeastLoaded, &requests, &mut RecordingSink::new());
+    let (profiled, _) = sim.run_profiled(&mut LeastLoaded, requests);
+    assert_eq!(plain, traced);
+    assert_eq!(plain, profiled);
+    assert_eq!(plain.arrivals, "poisson/production");
 }
