@@ -27,13 +27,23 @@ impl MemoryInterface {
     ///
     /// # Panics
     ///
-    /// Panics if the bandwidth is not strictly positive and finite.
+    /// Panics with [`MemoryInterface::try_new`]'s diagnostic.
     pub fn new(bytes_per_sec: f64) -> MemoryInterface {
-        assert!(
-            bytes_per_sec.is_finite() && bytes_per_sec > 0.0,
-            "bandwidth must be positive"
-        );
-        MemoryInterface { bytes_per_sec }
+        MemoryInterface::try_new(bytes_per_sec).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates an interface with the given sustained bandwidth.
+    ///
+    /// # Errors
+    ///
+    /// Returns a diagnostic unless the bandwidth is positive and finite.
+    pub fn try_new(bytes_per_sec: f64) -> Result<MemoryInterface, String> {
+        if bytes_per_sec.is_finite() && bytes_per_sec > 0.0 {
+            return Ok(MemoryInterface { bytes_per_sec });
+        }
+        Err(format!(
+            "bandwidth must be positive and finite, got {bytes_per_sec}"
+        ))
     }
 
     /// HBM2 on the U55C/VCU128: 460 GB/s aggregate.

@@ -161,40 +161,52 @@ impl ArrivalProcess {
         }
     }
 
-    /// Checks the rate parameters are usable.
+    /// Checks the rate parameters are usable; [`times`](Self::times) and
+    /// [`times_in`](Self::times_in) panic with this diagnostic.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on non-positive or non-finite rates, or `peak < base`.
-    fn validate(&self) {
-        let pos = |x: f64, what: &str| {
-            assert!(
-                x.is_finite() && x > 0.0,
-                "{what} must be positive and finite"
-            );
+    /// Returns a diagnostic naming the field on a non-positive or
+    /// non-finite rate or duration, a negative onset, or `peak < base`.
+    pub fn validate(&self) -> Result<(), String> {
+        let positive = |name: &str, v: f64| {
+            if v.is_finite() && v > 0.0 {
+                return Ok(());
+            }
+            Err(format!(
+                "arrivals {name} must be positive and finite, got {v}"
+            ))
+        };
+        let peak_over_base = |base: f64, peak: f64| {
+            if peak >= base {
+                return Ok(());
+            }
+            Err(format!(
+                "arrivals peak rate must be >= base rate, got {peak} < {base}"
+            ))
         };
         match *self {
-            ArrivalProcess::Poisson { rate_per_sec } => pos(rate_per_sec, "rate"),
+            ArrivalProcess::Poisson { rate_per_sec } => positive("rate_per_sec", rate_per_sec),
             ArrivalProcess::Bursty {
                 base_rate,
                 burst_rate,
                 mean_burst_s,
                 mean_gap_s,
             } => {
-                pos(base_rate, "base rate");
-                pos(burst_rate, "burst rate");
-                pos(mean_burst_s, "mean burst");
-                pos(mean_gap_s, "mean gap");
+                positive("base_rate", base_rate)?;
+                positive("burst_rate", burst_rate)?;
+                positive("mean_burst_s", mean_burst_s)?;
+                positive("mean_gap_s", mean_gap_s)
             }
             ArrivalProcess::Diurnal {
                 base_rate,
                 peak_rate,
                 period_s,
             } => {
-                pos(base_rate, "base rate");
-                pos(peak_rate, "peak rate");
-                pos(period_s, "period");
-                assert!(peak_rate >= base_rate, "peak rate must be >= base rate");
+                positive("base_rate", base_rate)?;
+                positive("peak_rate", peak_rate)?;
+                positive("period_s", period_s)?;
+                peak_over_base(base_rate, peak_rate)
             }
             ArrivalProcess::FlashCrowd {
                 base_rate,
@@ -202,28 +214,29 @@ impl ArrivalProcess {
                 onset_s,
                 decay_s,
             } => {
-                pos(base_rate, "base rate");
-                pos(peak_rate, "peak rate");
-                pos(decay_s, "decay");
-                assert!(
-                    onset_s.is_finite() && onset_s >= 0.0,
-                    "onset must be non-negative and finite"
-                );
-                assert!(peak_rate >= base_rate, "peak rate must be >= base rate");
+                positive("base_rate", base_rate)?;
+                positive("peak_rate", peak_rate)?;
+                positive("decay_s", decay_s)?;
+                if !(onset_s.is_finite() && onset_s >= 0.0) {
+                    return Err(format!(
+                        "arrivals onset_s must be non-negative and finite, got {onset_s}"
+                    ));
+                }
+                peak_over_base(base_rate, peak_rate)
             }
         }
     }
 
     /// The first `n` arrival times, strictly increasing, seconds.
     pub fn times(&self, n: usize, seed: u64) -> Vec<f64> {
-        self.validate();
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut gen = ArrivalGen::new(*self, seed);
         (0..n).map(|_| gen.next_arrival()).collect()
     }
 
     /// All arrivals inside `[0, horizon)` seconds.
     pub fn times_in(&self, horizon: f64, seed: u64) -> Vec<f64> {
-        self.validate();
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
         assert!(
             horizon.is_finite() && horizon > 0.0,
             "horizon must be positive"
@@ -286,7 +299,8 @@ impl ArrivalGen {
             } => loop {
                 let rate = if self.in_burst { burst_rate } else { base_rate };
                 let proposed = self.t + exp_sample(&mut self.rng, rate);
-                if proposed < self.phase_end {
+                // An overflowed arrival ends the trace instead of flipping phases forever.
+                if proposed < self.phase_end || proposed == f64::INFINITY {
                     self.t = proposed;
                     return self.t;
                 }
@@ -312,7 +326,8 @@ impl ArrivalGen {
                 let phase = core::f64::consts::TAU * self.t / period_s;
                 let rate = base_rate + (peak_rate - base_rate) * 0.5 * (1.0 - phase.cos());
                 let u = (self.rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                if u * peak_rate < rate {
+                // An overflowed clock cannot be thinned: return it instead of looping forever.
+                if u * peak_rate < rate || self.t == f64::INFINITY {
                     return self.t;
                 }
             },
@@ -331,7 +346,8 @@ impl ArrivalGen {
                     base_rate + (peak_rate - base_rate) * (-(self.t - onset_s) / decay_s).exp()
                 };
                 let u = (self.rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                if u * peak_rate < rate {
+                // An overflowed clock cannot be thinned: return it instead of looping forever.
+                if u * peak_rate < rate || self.t == f64::INFINITY {
                     return self.t;
                 }
             },

@@ -234,7 +234,7 @@ impl Ord for HeapEntry {
 /// Warmed < ScaleCheck < CardDeath < CardDegrade < CardRevive, card
 /// index, request id, shard id)` order — the fixed
 /// tie-breaking the simulator's determinism contract is stated against.
-/// Times must be finite.
+/// Times must be finite: every `push_*` panics on one that is not.
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Reverse<HeapEntry>>,
@@ -258,44 +258,26 @@ impl EventQueue {
 
     /// Schedules the arrival of the request at `index` (with id `id`) at
     /// `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is not finite.
     pub fn push_arrival(&mut self, time: f64, index: usize, id: u64) {
-        assert!(time.is_finite(), "event times must be finite");
-        self.heap.push(Reverse(HeapEntry {
-            time,
-            kind: 0,
-            card: 0,
-            id,
-            shard: 0,
-            event: Event::Arrival { index },
-        }));
+        self.push(time, 0, id, 0, Event::Arrival { index });
     }
 
     /// Schedules the completion of request `id`'s shard `shard` on `card`
     /// at `time` (the shard's finish instant). `index` is the request's
     /// dense arena index, carried so delivery skips the id lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is not finite.
     pub fn push_completion(&mut self, time: f64, card: usize, id: u64, shard: u32, index: u32) {
-        assert!(time.is_finite(), "event times must be finite");
-        self.heap.push(Reverse(HeapEntry {
+        self.push(
             time,
-            kind: 1,
             card,
             id,
             shard,
-            event: Event::Completion {
+            Event::Completion {
                 card,
                 id,
                 shard,
                 index,
             },
-        }));
+        );
     }
 
     /// Schedules the step boundary of request `id` at `time` — pushed by
@@ -303,123 +285,54 @@ impl EventQueue {
     /// timestamp, on the fan-in card. At most one per request can be
     /// pending (a request runs one step at a time), so the zero shard
     /// tie-break can never collide.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is not finite.
     pub fn push_step_complete(&mut self, time: f64, card: usize, id: u64, index: u32) {
-        assert!(time.is_finite(), "event times must be finite");
-        self.heap.push(Reverse(HeapEntry {
-            time,
-            kind: 2,
-            card,
-            id,
-            shard: 0,
-            event: Event::StepComplete { card, id, index },
-        }));
+        self.push(time, card, id, 0, Event::StepComplete { card, id, index });
     }
 
     /// Schedules a preemption check for waiting request `id` at `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is not finite.
     pub fn push_preemption(&mut self, time: f64, id: u64) {
-        assert!(time.is_finite(), "event times must be finite");
-        self.heap.push(Reverse(HeapEntry {
-            time,
-            kind: 3,
-            card: 0,
-            id,
-            shard: 0,
-            event: Event::Preemption { id },
-        }));
+        self.push(time, 0, id, 0, Event::Preemption { id });
     }
 
     /// Schedules card `card` becoming dispatchable at `time` (the end of
     /// its warm-up).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is not finite.
     pub fn push_warmed(&mut self, time: f64, card: usize) {
-        assert!(time.is_finite(), "event times must be finite");
-        self.heap.push(Reverse(HeapEntry {
-            time,
-            kind: 4,
-            card,
-            id: 0,
-            shard: 0,
-            event: Event::Warmed { card },
-        }));
+        self.push(time, card, 0, 0, Event::Warmed { card });
     }
 
     /// Schedules an autoscaler wake-up at `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is not finite.
     pub fn push_scale_check(&mut self, time: f64) {
-        assert!(time.is_finite(), "event times must be finite");
-        self.heap.push(Reverse(HeapEntry {
-            time,
-            kind: 5,
-            card: 0,
-            id: 0,
-            shard: 0,
-            event: Event::ScaleCheck,
-        }));
+        self.push(time, 0, 0, 0, Event::ScaleCheck);
     }
 
     /// Schedules the failure of `card` at `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is not finite.
     pub fn push_card_death(&mut self, time: f64, card: usize) {
-        assert!(time.is_finite(), "event times must be finite");
-        self.heap.push(Reverse(HeapEntry {
-            time,
-            kind: 6,
-            card,
-            id: 0,
-            shard: 0,
-            event: Event::CardDeath { card },
-        }));
+        self.push(time, card, 0, 0, Event::CardDeath { card });
     }
 
     /// Schedules a calibration shift of `card` by `factor` at `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is not finite.
     pub fn push_card_degrade(&mut self, time: f64, card: usize, factor: f64) {
-        assert!(time.is_finite(), "event times must be finite");
-        self.heap.push(Reverse(HeapEntry {
-            time,
-            kind: 7,
-            card,
-            id: 0,
-            shard: 0,
-            event: Event::CardDegrade { card, factor },
-        }));
+        self.push(time, card, 0, 0, Event::CardDegrade { card, factor });
     }
 
     /// Schedules the revival of dead `card` at `time`; it becomes
     /// dispatchable `warmup_s` later.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is not finite.
     pub fn push_card_revive(&mut self, time: f64, card: usize, warmup_s: f64) {
+        self.push(time, card, 0, 0, Event::CardRevive { card, warmup_s });
+    }
+
+    /// Schedules `event` at `time` under its heap key: the kind is the
+    /// event's own tie-break rank, the rest as the callers name it.
+    fn push(&mut self, time: f64, card: usize, id: u64, shard: u32, event: Event) {
         assert!(time.is_finite(), "event times must be finite");
+        let kind = event.kind_index() as u8;
         self.heap.push(Reverse(HeapEntry {
             time,
-            kind: 8,
+            kind,
             card,
-            id: 0,
-            shard: 0,
-            event: Event::CardRevive { card, warmup_s },
+            id,
+            shard,
+            event,
         }));
     }
 

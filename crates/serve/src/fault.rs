@@ -59,6 +59,44 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
+impl FaultEvent {
+    /// Checks the fault's own parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns a diagnostic if the time is negative or not finite, a
+    /// degrade factor is below 1 or not finite, or a revival warm-up is
+    /// negative or not finite.
+    pub fn validate(&self) -> Result<(), String> {
+        let non_negative = |what: &str, v: f64| {
+            if v.is_finite() && v >= 0.0 {
+                return Ok(());
+            }
+            Err(format!("{what} must be non-negative and finite, got {v}"))
+        };
+        non_negative("fault times", self.time)?;
+        match self.kind {
+            FaultKind::Degrade { factor } if !(factor.is_finite() && factor >= 1.0) => Err(
+                format!("degrade factors must be finite and at least 1, got {factor}"),
+            ),
+            FaultKind::Revive { warmup_s } => non_negative("revival warm-up", warmup_s),
+            _ => Ok(()),
+        }
+    }
+
+    /// Checks the fault names a card of a `cards`-card fleet.
+    ///
+    /// # Errors
+    ///
+    /// Returns a diagnostic naming the card if it is outside the fleet.
+    pub fn validate_card(&self, cards: usize) -> Result<(), String> {
+        if self.card >= cards {
+            return Err(format!("names card {} of a {cards}-card fleet", self.card));
+        }
+        Ok(())
+    }
+}
+
 /// A declarative, seeded schedule of faults for one run.
 ///
 /// # Examples
@@ -100,18 +138,9 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `time` is negative or not finite.
-    pub fn kill(mut self, time: f64, card: usize) -> FaultPlan {
-        assert!(
-            time.is_finite() && time >= 0.0,
-            "fault times must be non-negative and finite"
-        );
-        self.events.push(FaultEvent {
-            time,
-            card,
-            kind: FaultKind::Death,
-        });
-        self
+    /// Panics with [`FaultEvent::validate`]'s diagnostic.
+    pub fn kill(self, time: f64, card: usize) -> FaultPlan {
+        self.push(time, card, FaultKind::Death)
     }
 
     /// Schedules a calibration shift of `card` to `factor`× at `time`.
@@ -120,23 +149,9 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `time` is negative or not finite, or `factor` is below
-    /// 1 or not finite.
-    pub fn degrade(mut self, time: f64, card: usize, factor: f64) -> FaultPlan {
-        assert!(
-            time.is_finite() && time >= 0.0,
-            "fault times must be non-negative and finite"
-        );
-        assert!(
-            factor.is_finite() && factor >= 1.0,
-            "degrade factors must be finite and at least 1"
-        );
-        self.events.push(FaultEvent {
-            time,
-            card,
-            kind: FaultKind::Degrade { factor },
-        });
-        self
+    /// Panics with [`FaultEvent::validate`]'s diagnostic.
+    pub fn degrade(self, time: f64, card: usize, factor: f64) -> FaultPlan {
+        self.push(time, card, FaultKind::Degrade { factor })
     }
 
     /// Schedules the revival of `card` at `time`, dispatchable after
@@ -144,23 +159,26 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `time` is negative or not finite, or `warmup_s` is
-    /// negative or not finite.
-    pub fn revive(mut self, time: f64, card: usize, warmup_s: f64) -> FaultPlan {
-        assert!(
-            time.is_finite() && time >= 0.0,
-            "fault times must be non-negative and finite"
-        );
-        assert!(
-            warmup_s.is_finite() && warmup_s >= 0.0,
-            "revival warm-up must be non-negative and finite"
-        );
-        self.events.push(FaultEvent {
-            time,
-            card,
-            kind: FaultKind::Revive { warmup_s },
-        });
-        self
+    /// Panics with [`FaultEvent::validate`]'s diagnostic.
+    pub fn revive(self, time: f64, card: usize, warmup_s: f64) -> FaultPlan {
+        self.push(time, card, FaultKind::Revive { warmup_s })
+    }
+
+    fn push(self, time: f64, card: usize, kind: FaultKind) -> FaultPlan {
+        self.try_push(FaultEvent { time, card, kind })
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Appends `event` to the schedule.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FaultEvent::validate`]'s diagnostic instead of scheduling
+    /// an invalid fault.
+    pub fn try_push(mut self, event: FaultEvent) -> Result<FaultPlan, String> {
+        event.validate()?;
+        self.events.push(event);
+        Ok(self)
     }
 
     /// A seeded fault storm for chaos testing: `n` faults drawn over
@@ -200,16 +218,12 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics if any fault names a card outside the fleet.
+    /// Panics with [`FaultEvent::validate_card`]'s diagnostic.
     pub fn validate(&self, cards: usize) {
         for e in &self.events {
-            assert!(
-                e.card < cards,
-                "fault at t={} names card {} of a {}-card fleet",
-                e.time,
-                e.card,
-                cards
-            );
+            if let Err(problem) = e.validate_card(cards) {
+                panic!("fault at t={} {problem}", e.time);
+            }
         }
     }
 }

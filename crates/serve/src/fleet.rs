@@ -10,6 +10,7 @@
 
 use crate::cost::CardCostModel;
 use crate::request::Request;
+use crate::scenario::FleetSpec;
 use swat::config::ConfigError;
 use swat::schedule::PipelineAgenda;
 use swat::{SwatAccelerator, SwatConfig};
@@ -65,14 +66,7 @@ impl FleetConfig {
     /// A homogeneous fleet of `cards` dual-pipeline BigBird FP16 cards on
     /// HBM2 — the highest-throughput design point in the paper's Table 2.
     pub fn standard(cards: usize) -> FleetConfig {
-        FleetConfig {
-            groups: vec![CardGroup::new(
-                cards,
-                SwatConfig::bigbird_dual_fp16(),
-                MemoryInterface::hbm2(),
-            )],
-            host_link: MemoryInterface::pcie4_x16(),
-        }
+        FleetSpec::standard(cards).config()
     }
 
     /// A mixed-precision fleet: `fp16_dual` dual-pipeline FP16 cards next
@@ -96,22 +90,7 @@ impl FleetConfig {
     /// assert!(built.cards()[0].seconds_per_token() < built.cards()[5].seconds_per_token());
     /// ```
     pub fn mixed_precision(fp16_dual: usize, fp32_single: usize) -> FleetConfig {
-        let fp32 = SwatConfig {
-            precision: swat::config::Precision::Fp32,
-            pipelines: 1,
-            ..SwatConfig::bigbird_dual_fp16()
-        };
-        FleetConfig {
-            groups: vec![
-                CardGroup::new(
-                    fp16_dual,
-                    SwatConfig::bigbird_dual_fp16(),
-                    MemoryInterface::hbm2(),
-                ),
-                CardGroup::new(fp32_single, fp32, MemoryInterface::hbm2()),
-            ],
-            host_link: MemoryInterface::pcie4_x16(),
-        }
+        FleetSpec::mixed_precision(fp16_dual, fp32_single).config()
     }
 
     /// Total cards across all groups.

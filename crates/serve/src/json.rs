@@ -345,6 +345,138 @@ impl fmt::Display for Json {
     }
 }
 
+/// Why a [`FromJson`] read failed, and where: the path from the value
+/// read down to the failing field (`traffic.heavy_pct`, `faults[1].kind`)
+/// grows one segment per level as the error unwinds, so a successful read
+/// never formats one.
+#[derive(Debug)]
+pub(crate) struct ReadError {
+    path: String,
+    message: String,
+}
+
+impl ReadError {
+    pub(crate) fn new(message: String) -> ReadError {
+        let path = String::new();
+        ReadError { path, message }
+    }
+
+    /// An enum-like string that names none of the variants.
+    pub(crate) fn unknown(what: &str, name: &str) -> ReadError {
+        ReadError::new(format!("unknown {what} {name:?}"))
+    }
+
+    fn mismatch(expected: &str, got: &Json) -> ReadError {
+        ReadError::new(format!("expected {expected}, got {got:?}"))
+    }
+
+    /// Prefixes the path with a `.key` or `[index]` segment.
+    fn within(mut self, segment: &str) -> ReadError {
+        self.path.insert_str(0, segment);
+        self
+    }
+}
+
+impl fmt::Display for ReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.path.strip_prefix('.').unwrap_or(&self.path) {
+            "" => f.write_str(&self.message),
+            path => write!(f, "{path}: {}", self.message),
+        }
+    }
+}
+
+/// A value read from a borrowed [`Json`] tree.
+pub(crate) trait FromJson<'a>: Sized {
+    /// Reads `json` as `Self`.
+    fn from_json(json: &'a Json) -> Result<Self, ReadError>;
+}
+
+/// A JSON object opened for typed field reads.
+#[derive(Clone, Copy)]
+pub(crate) struct Fields<'a>(&'a [(String, Json)]);
+
+impl<'a> Fields<'a> {
+    /// Reads field `key`. A missing key is an error even for an `Option`:
+    /// only an explicit `null` reads as `None`.
+    pub(crate) fn get<T: FromJson<'a>>(self, key: &str) -> Result<T, ReadError> {
+        match self.0.iter().find(|(k, _)| k == key) {
+            Some((_, value)) => T::from_json(value).map_err(|e| e.within(&format!(".{key}"))),
+            None => Err(ReadError::new("missing field".to_string()).within(&format!(".{key}"))),
+        }
+    }
+}
+
+/// Builds a struct (or enum variant) literal from the [`Fields`] `obj`,
+/// reading each named field under its own name:
+/// `read_fields!(obj, DecodeMix { min_steps, max_steps, exit_prob })`.
+macro_rules! read_fields {
+    ($obj:expr, $($ty:ident)::+ { $($field:ident),* }) => {
+        $($ty)::+ { $($field: $obj.get(stringify!($field))?),* }
+    };
+}
+
+pub(crate) use read_fields;
+
+/// `FromJson` for values one [`Json`] variant (or a few) carry.
+macro_rules! variant_from_json {
+    ($($t:ty: $expected:literal, $($variant:pat => $value:expr),+;)*) => {$(
+        impl<'a> FromJson<'a> for $t {
+            fn from_json(json: &'a Json) -> Result<$t, ReadError> {
+                match json {
+                    $(&$variant => Ok($value),)+
+                    other => Err(ReadError::mismatch($expected, other)),
+                }
+            }
+        }
+    )*};
+}
+
+variant_from_json! {
+    Fields<'a>: "an object", Json::Obj(ref pairs) => Fields(pairs);
+    &'a str: "a string", Json::Str(ref s) => s;
+    String: "a string", Json::Str(ref s) => s.clone();
+    bool: "a boolean", Json::Bool(b) => b;
+    f64: "a number", Json::Num(x) => x, Json::Int(i) => i as f64, Json::UInt(u) => u as f64;
+    u64: "a non-negative integer", Json::UInt(u) => u, Json::Int(i @ 0..) => i.unsigned_abs();
+}
+
+/// Narrower unsigned integers read through `u64` and [`TryFrom`], so an
+/// out-of-range value is an error, not a silent truncation.
+macro_rules! narrowed_from_json {
+    ($($t:ty),*) => {$(
+        impl<'a> FromJson<'a> for $t {
+            fn from_json(json: &'a Json) -> Result<$t, ReadError> {
+                let wide = u64::from_json(json)?;
+                <$t>::try_from(wide).map_err(|_| {
+                    ReadError::new(format!("{wide} is out of range for {}", stringify!($t)))
+                })
+            }
+        }
+    )*};
+}
+
+narrowed_from_json!(u8, u32, usize);
+
+impl<'a, T: FromJson<'a>> FromJson<'a> for Option<T> {
+    fn from_json(json: &'a Json) -> Result<Option<T>, ReadError> {
+        match json {
+            Json::Null => Ok(None),
+            value => T::from_json(value).map(Some),
+        }
+    }
+}
+
+impl<'a, T: FromJson<'a>> FromJson<'a> for Vec<T> {
+    fn from_json(json: &'a Json) -> Result<Vec<T>, ReadError> {
+        let Json::Arr(items) = json else {
+            return Err(ReadError::mismatch("an array", json));
+        };
+        let item = |(i, value)| T::from_json(value).map_err(|e| e.within(&format!("[{i}]")));
+        items.iter().enumerate().map(item).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

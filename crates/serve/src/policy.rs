@@ -149,6 +149,19 @@ fn soonest_idle(cards: &[CardView], shape: &RequestShape) -> Option<usize> {
         .map(|c| c.card)
 }
 
+/// Checks a fan-out cap (the sharded policies' `max_shards`).
+///
+/// # Errors
+///
+/// Returns a diagnostic naming `max_shards` if it is zero: a dispatch
+/// needs at least one shard.
+pub fn validate_max_shards(max_shards: usize) -> Result<(), String> {
+    if max_shards == 0 {
+        return Err("max_shards must be at least 1: a dispatch needs at least one shard".into());
+    }
+    Ok(())
+}
+
 /// Up to `max_shards` idle pipelines for `shape`, soonest-finishing
 /// first by the same backlog-plus-estimate rank whole-request dispatch
 /// uses — the shard plan the split-aware policies
@@ -162,11 +175,13 @@ pub fn shard_targets(
     shape: &RequestShape,
     max_shards: usize,
 ) -> Option<Vec<usize>> {
-    assert!(max_shards > 0, "a dispatch needs at least one shard");
+    validate_max_shards(max_shards).unwrap_or_else(|e| panic!("{e}"));
     let mut idle: Vec<&CardView> = cards.iter().filter(|c| c.idle_pipelines > 0).collect();
     idle.sort_by(|a, b| finish_rank(a, b, shape));
     let group = idle.first()?.group;
-    let mut plan = Vec::with_capacity(max_shards);
+    // The plan never outgrows the idle pipelines, whatever the cap.
+    let pushable: usize = idle.iter().map(|c| c.idle_pipelines).sum();
+    let mut plan = Vec::with_capacity(max_shards.min(pushable));
     'fill: for c in idle.iter().filter(|c| c.group == group) {
         for _ in 0..c.idle_pipelines {
             plan.push(c.card);
@@ -350,9 +365,9 @@ impl ShardedLeastLoaded {
     ///
     /// # Panics
     ///
-    /// Panics if `max_shards` is zero.
+    /// Panics with [`validate_max_shards`]'s diagnostic.
     pub fn new(max_shards: usize) -> ShardedLeastLoaded {
-        assert!(max_shards > 0, "a dispatch needs at least one shard");
+        validate_max_shards(max_shards).unwrap_or_else(|e| panic!("{e}"));
         ShardedLeastLoaded {
             max_shards,
             adaptive: true,
@@ -365,7 +380,7 @@ impl ShardedLeastLoaded {
     ///
     /// # Panics
     ///
-    /// Panics if `max_shards` is zero.
+    /// Panics with [`validate_max_shards`]'s diagnostic.
     pub fn fixed(max_shards: usize) -> ShardedLeastLoaded {
         ShardedLeastLoaded {
             adaptive: false,
@@ -424,9 +439,9 @@ impl ShardedShortestJobFirst {
     ///
     /// # Panics
     ///
-    /// Panics if `max_shards` is zero.
+    /// Panics with [`validate_max_shards`]'s diagnostic.
     pub fn new(max_shards: usize) -> ShardedShortestJobFirst {
-        assert!(max_shards > 0, "a dispatch needs at least one shard");
+        validate_max_shards(max_shards).unwrap_or_else(|e| panic!("{e}"));
         ShardedShortestJobFirst {
             max_shards,
             adaptive: true,
@@ -437,7 +452,7 @@ impl ShardedShortestJobFirst {
     ///
     /// # Panics
     ///
-    /// Panics if `max_shards` is zero.
+    /// Panics with [`validate_max_shards`]'s diagnostic.
     pub fn fixed(max_shards: usize) -> ShardedShortestJobFirst {
         ShardedShortestJobFirst {
             adaptive: false,
@@ -558,17 +573,26 @@ impl SessionAffinity {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity_per_card` is zero.
+    /// Panics with [`SessionAffinity::validate_capacity`]'s diagnostic.
     pub fn new(capacity_per_card: usize) -> SessionAffinity {
-        assert!(
-            capacity_per_card > 0,
-            "cards must hold at least one session"
-        );
+        SessionAffinity::validate_capacity(capacity_per_card).unwrap_or_else(|e| panic!("{e}"));
         SessionAffinity {
             capacity_per_card,
             bindings: Vec::new(),
             seq: 0,
         }
+    }
+
+    /// Checks a per-card session capacity.
+    ///
+    /// # Errors
+    ///
+    /// Returns a diagnostic naming `capacity_per_card` if it is zero.
+    pub fn validate_capacity(capacity_per_card: usize) -> Result<(), String> {
+        if capacity_per_card == 0 {
+            return Err("capacity_per_card must be at least 1: cards hold sessions".into());
+        }
+        Ok(())
     }
 
     /// The card `session` is currently bound to, if any.

@@ -85,22 +85,26 @@ impl AutoscalerConfig {
 
     /// Checks the law is usable.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `min_cards` is zero (a fleet with nothing powered can
-    /// never drain its queue), `up_queue_per_card` is zero, or either
-    /// duration is negative or non-finite.
-    pub fn validate(&self) {
-        assert!(self.min_cards > 0, "min_cards must be at least 1");
-        assert!(self.up_queue_per_card > 0, "up_queue_per_card must be > 0");
-        assert!(
-            self.down_idle_s.is_finite() && self.down_idle_s >= 0.0,
-            "down_idle_s must be finite and non-negative"
-        );
-        assert!(
-            self.warmup_s.is_finite() && self.warmup_s >= 0.0,
-            "warmup_s must be finite and non-negative"
-        );
+    /// Returns a diagnostic naming the field if `min_cards` is zero (a
+    /// fleet with nothing powered can never drain its queue),
+    /// `up_queue_per_card` is zero, or either duration is negative or
+    /// non-finite.
+    pub fn validate(&self) -> Result<(), String> {
+        let (down, warm) = (self.down_idle_s, self.warmup_s);
+        let problem = if self.min_cards == 0 {
+            "autoscaler min_cards must be at least 1".to_string()
+        } else if self.up_queue_per_card == 0 {
+            "autoscaler up_queue_per_card must be at least 1".to_string()
+        } else if !(down.is_finite() && down >= 0.0) {
+            format!("autoscaler down_idle_s must be non-negative and finite, got {down}")
+        } else if !(warm.is_finite() && warm >= 0.0) {
+            format!("autoscaler warmup_s must be non-negative and finite, got {warm}")
+        } else {
+            return Ok(());
+        };
+        Err(problem)
     }
 }
 
@@ -135,9 +139,9 @@ impl Autoscaler {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`AutoscalerConfig::validate`].
+    /// Panics with [`AutoscalerConfig::validate`]'s diagnostic.
     pub fn new(cfg: AutoscalerConfig) -> Autoscaler {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         Autoscaler {
             cfg,
             log: Vec::new(),

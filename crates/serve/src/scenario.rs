@@ -14,11 +14,19 @@
 //! the `capacity_plan` autotuner searches over a spec template's free
 //! axes (fleet size, shard width, autoscaling, batching mode).
 //!
-//! Construction is fallible where the underlying builders panic:
-//! [`ScenarioSpec::validate`] returns a diagnostic (`Err(String)`) for a
-//! zero-card fleet, an empty trace, a non-finite rate, an out-of-range
-//! fault card, and every other way a hand-edited JSON spec can go wrong
-//! — so operator tooling can reject bad input instead of crashing.
+//! Validation has one source of truth per rule. The spec itself owns
+//! only four: the fleet has a group, no group is empty, `requests` is
+//! positive, and every fault names a card of the fleet.
+//! [`ScenarioSpec::validate`] checks those and then delegates each
+//! component to the fallible check its own panicking constructor uses
+//! ([`ArrivalProcess::validate`], [`DecodeMix::validate`],
+//! [`MemoryInterface::try_new`], [`PreemptionControl::validate`], …), so
+//! a spec that validates never trips a constructor panic and the two can
+//! never drift apart. [`run`](ScenarioSpec::run) also turns arrival or
+//! fault times that overflow to infinity into a diagnostic. The JSON
+//! loader reads every field through one typed reader whose diagnostics
+//! name the field's path (`traffic.heavy_pct`) and that rejects an
+//! integer too large for its field instead of truncating it.
 //!
 //! # Examples
 //!
@@ -46,13 +54,13 @@
 //! ```
 
 use crate::arrival::ArrivalProcess;
-use crate::fault::FaultPlan;
+use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::fleet::{CardGroup, FleetConfig};
-use crate::json::Json;
+use crate::json::{read_fields, Fields, FromJson, Json, ReadError};
 use crate::metrics::ServeReport;
 use crate::policy::{
-    DispatchPolicy, Fifo, HeadAffinity, LeastLoaded, SessionAffinity, ShardedLeastLoaded,
-    ShardedShortestJobFirst, ShortestJobFirst,
+    validate_max_shards, DispatchPolicy, Fifo, HeadAffinity, LeastLoaded, SessionAffinity,
+    ShardedLeastLoaded, ShardedShortestJobFirst, ShortestJobFirst,
 };
 use crate::request::Request;
 use crate::scale::AutoscalerConfig;
@@ -95,14 +103,6 @@ impl CardDesign {
             },
         }
     }
-
-    fn from_name(name: &str) -> Result<CardDesign, String> {
-        match name {
-            "fp16-dual" => Ok(CardDesign::Fp16Dual),
-            "fp32-single" => Ok(CardDesign::Fp32Single),
-            other => Err(format!("unknown card design {other:?}")),
-        }
-    }
 }
 
 /// A card group's off-chip memory interface, as data.
@@ -116,8 +116,8 @@ pub enum MemorySpec {
 }
 
 impl MemorySpec {
-    /// Instantiates the interface. Call [`ScenarioSpec::validate`] first:
-    /// a non-positive explicit bandwidth panics in the constructor.
+    /// Instantiates the interface (panicking with
+    /// [`MemoryInterface::try_new`]'s diagnostic on a bad bandwidth).
     pub fn interface(&self) -> MemoryInterface {
         match *self {
             MemorySpec::Hbm2 => MemoryInterface::hbm2(),
@@ -129,14 +129,6 @@ impl MemorySpec {
         match self {
             MemorySpec::Hbm2 => Json::Str("hbm2".into()),
             MemorySpec::BytesPerSec(bps) => Json::Num(bps),
-        }
-    }
-
-    fn from_json(json: &Json) -> Result<MemorySpec, String> {
-        match json {
-            Json::Str(s) if s == "hbm2" => Ok(MemorySpec::Hbm2),
-            Json::Str(s) => Err(format!("unknown memory spec {s:?}")),
-            other => as_f64(other, "memory").map(MemorySpec::BytesPerSec),
         }
     }
 }
@@ -210,9 +202,8 @@ impl FleetSpec {
         self.groups.iter().map(|g| g.count).sum()
     }
 
-    /// Instantiates the [`FleetConfig`] this spec describes. Call
-    /// [`ScenarioSpec::validate`] first — invalid bandwidths panic in
-    /// the interface constructor.
+    /// Instantiates the [`FleetConfig`] this spec describes (panicking
+    /// as [`MemorySpec::interface`] does on a bad bandwidth).
     pub fn config(&self) -> FleetConfig {
         FleetConfig {
             groups: self
@@ -235,25 +226,6 @@ impl FleetSpec {
                 ])
             })),
         )])
-    }
-
-    fn from_json(json: &Json) -> Result<FleetSpec, String> {
-        let obj = as_obj(json, "fleet")?;
-        let groups = as_arr(get(obj, "fleet.groups", "groups")?, "fleet.groups")?
-            .iter()
-            .map(|g| {
-                let g = as_obj(g, "fleet group")?;
-                Ok(CardGroupSpec {
-                    count: as_usize(get(g, "group.count", "count")?, "group.count")?,
-                    design: CardDesign::from_name(as_str(
-                        get(g, "group.design", "design")?,
-                        "group.design",
-                    )?)?,
-                    memory: MemorySpec::from_json(get(g, "group.memory", "memory")?)?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(FleetSpec { groups })
     }
 }
 
@@ -307,53 +279,6 @@ impl TrafficModel {
                 ("think_mean_s", Json::Num(profile.think_mean_s)),
                 ("heavy_pct", Json::Int(profile.heavy_pct as i64)),
             ]),
-        }
-    }
-
-    fn from_json(json: &Json) -> Result<TrafficModel, String> {
-        let obj = as_obj(json, "traffic")?;
-        match as_str(get(obj, "traffic.kind", "kind")?, "traffic.kind")? {
-            "mix" => {
-                let name = as_str(get(obj, "traffic.mix", "mix")?, "traffic.mix")?;
-                let mix = RequestMix::ALL
-                    .into_iter()
-                    .find(|m| m.name() == name)
-                    .ok_or_else(|| format!("unknown request mix {name:?}"))?;
-                let decode = match get(obj, "traffic.decode", "decode")? {
-                    Json::Null => None,
-                    d => {
-                        let d = as_obj(d, "traffic.decode")?;
-                        Some(DecodeMix {
-                            min_steps: as_u64(
-                                get(d, "decode.min_steps", "min_steps")?,
-                                "min_steps",
-                            )? as u32,
-                            max_steps: as_u64(
-                                get(d, "decode.max_steps", "max_steps")?,
-                                "max_steps",
-                            )? as u32,
-                            exit_prob: as_f64(
-                                get(d, "decode.exit_prob", "exit_prob")?,
-                                "exit_prob",
-                            )?,
-                        })
-                    }
-                };
-                Ok(TrafficModel::Mix { mix, decode })
-            }
-            "sessions" => Ok(TrafficModel::Sessions {
-                profile: SessionProfile {
-                    min_turns: as_usize(get(obj, "traffic.min_turns", "min_turns")?, "min_turns")?,
-                    max_turns: as_usize(get(obj, "traffic.max_turns", "max_turns")?, "max_turns")?,
-                    think_mean_s: as_f64(
-                        get(obj, "traffic.think_mean_s", "think_mean_s")?,
-                        "think_mean_s",
-                    )?,
-                    heavy_pct: as_u64(get(obj, "traffic.heavy_pct", "heavy_pct")?, "heavy_pct")?
-                        as u8,
-                },
-            }),
-            other => Err(format!("unknown traffic kind {other:?}")),
         }
     }
 }
@@ -455,44 +380,6 @@ impl PolicySpec {
         }
         Json::obj(pairs)
     }
-
-    fn from_json(json: &Json) -> Result<PolicySpec, String> {
-        let obj = as_obj(json, "policy")?;
-        let kind = as_str(get(obj, "policy.kind", "kind")?, "policy.kind")?;
-        let sharded = |obj: &[(String, Json)]| -> Result<(usize, bool), String> {
-            Ok((
-                as_usize(get(obj, "policy.max_shards", "max_shards")?, "max_shards")?,
-                as_bool(get(obj, "policy.adaptive", "adaptive")?, "adaptive")?,
-            ))
-        };
-        match kind {
-            "fifo" => Ok(PolicySpec::Fifo),
-            "least-loaded" => Ok(PolicySpec::LeastLoaded),
-            "shortest-job-first" => Ok(PolicySpec::ShortestJobFirst),
-            "head-affinity" => Ok(PolicySpec::HeadAffinity),
-            "sharded-least-loaded" => {
-                let (max_shards, adaptive) = sharded(obj)?;
-                Ok(PolicySpec::ShardedLeastLoaded {
-                    max_shards,
-                    adaptive,
-                })
-            }
-            "sharded-shortest-job-first" => {
-                let (max_shards, adaptive) = sharded(obj)?;
-                Ok(PolicySpec::ShardedShortestJobFirst {
-                    max_shards,
-                    adaptive,
-                })
-            }
-            "session-affinity" => Ok(PolicySpec::SessionAffinity {
-                capacity_per_card: as_usize(
-                    get(obj, "policy.capacity_per_card", "capacity_per_card")?,
-                    "capacity_per_card",
-                )?,
-            }),
-            other => Err(format!("unknown policy kind {other:?}")),
-        }
-    }
 }
 
 /// Preemption control, as data.
@@ -503,24 +390,43 @@ pub enum PreemptionSpec {
     /// Youngest-victim checkpoint-and-requeue once an interactive
     /// request has waited `threshold_s`.
     AfterWait {
-        /// Patience before preempting, seconds.
+        /// Patience before preempting, seconds; strictly positive and
+        /// finite ([`PreemptionControl::validate`]).
         threshold_s: f64,
     },
     /// Cheapest-victim (cost-model-priced) variant.
     CostAware {
-        /// Patience before preempting, seconds.
+        /// Patience before preempting, seconds; strictly positive and
+        /// finite ([`PreemptionControl::validate`]).
         threshold_s: f64,
     },
 }
 
 impl PreemptionSpec {
     /// Instantiates the [`PreemptionControl`].
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`PreemptionControl::validate`]'s diagnostic.
     pub fn control(&self) -> PreemptionControl {
-        match *self {
+        self.try_control().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Instantiates the [`PreemptionControl`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PreemptionControl::validate`]'s diagnostic.
+    pub fn try_control(&self) -> Result<PreemptionControl, String> {
+        let control = match *self {
             PreemptionSpec::Disabled => PreemptionControl::disabled(),
-            PreemptionSpec::AfterWait { threshold_s } => PreemptionControl::after_wait(threshold_s),
-            PreemptionSpec::CostAware { threshold_s } => PreemptionControl::cost_aware(threshold_s),
-        }
+            PreemptionSpec::AfterWait { threshold_s }
+            | PreemptionSpec::CostAware { threshold_s } => PreemptionControl {
+                wait_threshold_s: Some(threshold_s),
+                cost_aware_victims: matches!(self, PreemptionSpec::CostAware { .. }),
+            },
+        };
+        control.validate().map(|()| control)
     }
 
     fn to_json(self) -> Json {
@@ -534,26 +440,6 @@ impl PreemptionSpec {
                 ("kind", Json::Str("cost-aware".into())),
                 ("threshold_s", Json::Num(threshold_s)),
             ]),
-        }
-    }
-
-    fn from_json(json: &Json) -> Result<PreemptionSpec, String> {
-        let obj = as_obj(json, "preemption")?;
-        let threshold = |obj: &[(String, Json)]| {
-            as_f64(
-                get(obj, "preemption.threshold_s", "threshold_s")?,
-                "threshold_s",
-            )
-        };
-        match as_str(get(obj, "preemption.kind", "kind")?, "preemption.kind")? {
-            "disabled" => Ok(PreemptionSpec::Disabled),
-            "after-wait" => Ok(PreemptionSpec::AfterWait {
-                threshold_s: threshold(obj)?,
-            }),
-            "cost-aware" => Ok(PreemptionSpec::CostAware {
-                threshold_s: threshold(obj)?,
-            }),
-            other => Err(format!("unknown preemption kind {other:?}")),
         }
     }
 }
@@ -609,23 +495,19 @@ impl FaultSpec {
         Json::obj(pairs)
     }
 
-    fn from_json(json: &Json) -> Result<FaultSpec, String> {
-        let obj = as_obj(json, "fault")?;
-        let kind = match as_str(get(obj, "fault.kind", "kind")?, "fault.kind")? {
-            "kill" => FaultKindSpec::Kill,
-            "degrade" => FaultKindSpec::Degrade {
-                factor: as_f64(get(obj, "fault.factor", "factor")?, "factor")?,
-            },
-            "revive" => FaultKindSpec::Revive {
-                warmup_s: as_f64(get(obj, "fault.warmup_s", "warmup_s")?, "warmup_s")?,
-            },
-            other => return Err(format!("unknown fault kind {other:?}")),
+    /// The fault resolved against a trace whose arrivals start at `t0`
+    /// and span `span` seconds.
+    fn event(&self, t0: f64, span: f64) -> FaultEvent {
+        let kind = match self.kind {
+            FaultKindSpec::Kill => FaultKind::Death,
+            FaultKindSpec::Degrade { factor } => FaultKind::Degrade { factor },
+            FaultKindSpec::Revive { warmup_s } => FaultKind::Revive { warmup_s },
         };
-        Ok(FaultSpec {
-            at_frac: as_f64(get(obj, "fault.at_frac", "at_frac")?, "at_frac")?,
-            card: as_usize(get(obj, "fault.card", "card")?, "card")?,
+        FaultEvent {
+            time: t0 + span * self.at_frac,
+            card: self.card,
             kind,
-        })
+        }
     }
 }
 
@@ -687,14 +569,18 @@ impl Default for ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// Checks every field against the constraints the underlying
-    /// builders would otherwise enforce by panicking.
+    /// Checks the spec: the rules it owns itself, then each component's
+    /// own `validate` — the same rule the component's panicking
+    /// constructor enforces, so a spec that validates never panics one.
+    /// Builds nothing: the fleet and trace are only instantiated by
+    /// [`run`](ScenarioSpec::run).
     ///
     /// # Errors
     ///
     /// Returns a human-readable diagnostic naming the offending field —
-    /// a zero-card fleet, an empty trace, a non-finite or non-positive
-    /// rate, a fault aimed at a card outside the fleet, and so on.
+    /// a fleet with no groups or an empty group, an empty trace, a fault
+    /// aimed at a card outside the fleet, or whatever the component
+    /// rejects (a non-finite rate, an inverted step range, …).
     pub fn validate(&self) -> Result<(), String> {
         if self.fleet.groups.is_empty() {
             return Err("fleet has no card groups".to_string());
@@ -704,205 +590,43 @@ impl ScenarioSpec {
                 return Err(format!("fleet group {i} has zero cards"));
             }
             if let MemorySpec::BytesPerSec(bps) = g.memory {
-                if !(bps.is_finite() && bps > 0.0) {
-                    return Err(format!(
-                        "fleet group {i} memory bandwidth must be positive and finite, got {bps}"
-                    ));
-                }
+                MemoryInterface::try_new(bps).map_err(|e| format!("fleet group {i} memory {e}"))?;
             }
         }
         if self.requests == 0 {
             return Err("requests must be positive (the trace would be empty)".to_string());
         }
-        self.validate_arrivals()?;
-        self.validate_traffic()?;
+        self.arrivals.validate()?;
+        match self.traffic {
+            TrafficModel::Mix {
+                decode: Some(d), ..
+            } => d.validate()?,
+            TrafficModel::Mix { decode: None, .. } => {}
+            TrafficModel::Sessions { profile } => profile.validate()?,
+        }
         match self.policy {
             PolicySpec::ShardedLeastLoaded { max_shards, .. }
-            | PolicySpec::ShardedShortestJobFirst { max_shards, .. }
-                if max_shards == 0 =>
-            {
-                return Err("sharded policies need max_shards >= 1".to_string());
+            | PolicySpec::ShardedShortestJobFirst { max_shards, .. } => {
+                validate_max_shards(max_shards)?
             }
             PolicySpec::SessionAffinity {
-                capacity_per_card: 0,
-            } => {
-                return Err("session affinity needs capacity_per_card >= 1".to_string());
-            }
+                capacity_per_card: c,
+            } => SessionAffinity::validate_capacity(c)?,
             _ => {}
         }
-        match self.preemption {
-            PreemptionSpec::AfterWait { threshold_s }
-            | PreemptionSpec::CostAware { threshold_s }
-                if !(threshold_s.is_finite() && threshold_s >= 0.0) =>
-            {
-                return Err(format!(
-                    "preemption threshold must be non-negative and finite, got {threshold_s}"
-                ));
-            }
-            _ => {}
+        self.preemption.try_control()?;
+        if let Some(cfg) = &self.autoscale {
+            cfg.validate()?;
         }
-        if let Some(cfg) = self.autoscale {
-            if cfg.min_cards == 0 {
-                return Err("autoscaler min_cards must be at least 1".to_string());
-            }
-            if cfg.up_queue_per_card == 0 {
-                return Err("autoscaler up_queue_per_card must be at least 1".to_string());
-            }
-            if !(cfg.down_idle_s.is_finite() && cfg.down_idle_s >= 0.0) {
-                return Err(format!(
-                    "autoscaler down_idle_s must be non-negative and finite, got {}",
-                    cfg.down_idle_s
-                ));
-            }
-            if !(cfg.warmup_s.is_finite() && cfg.warmup_s >= 0.0) {
-                return Err(format!(
-                    "autoscaler warmup_s must be non-negative and finite, got {}",
-                    cfg.warmup_s
-                ));
-            }
-        }
-        let cards = self.fleet.cards();
         for (i, f) in self.faults.iter().enumerate() {
-            if !(f.at_frac.is_finite() && f.at_frac >= 0.0) {
-                return Err(format!(
-                    "fault {i} time fraction must be non-negative and finite, got {}",
-                    f.at_frac
-                ));
-            }
-            if f.card >= cards {
-                return Err(format!(
-                    "fault {i} names card {} of a {cards}-card fleet",
-                    f.card
-                ));
-            }
-            match f.kind {
-                FaultKindSpec::Degrade { factor } if !(factor.is_finite() && factor >= 1.0) => {
-                    return Err(format!(
-                        "fault {i} degrade factor must be finite and at least 1, got {factor}"
-                    ));
-                }
-                FaultKindSpec::Revive { warmup_s }
-                    if !(warmup_s.is_finite() && warmup_s >= 0.0) =>
-                {
-                    return Err(format!(
-                        "fault {i} revival warm-up must be non-negative and finite, got {warmup_s}"
-                    ));
-                }
-                _ => {}
-            }
+            // Resolved against a unit span from t = 0, a fault is due at its `at_frac`.
+            let event = f.event(0.0, 1.0);
+            event
+                .validate_card(self.fleet.cards())
+                .map_err(|e| format!("fault {i} {e}"))?;
+            event.validate().map_err(|e| format!("fault {i}: {e}"))?;
         }
         Ok(())
-    }
-
-    fn validate_arrivals(&self) -> Result<(), String> {
-        let positive = |name: &str, v: f64| {
-            if v.is_finite() && v > 0.0 {
-                Ok(())
-            } else {
-                Err(format!(
-                    "arrivals {name} must be positive and finite, got {v}"
-                ))
-            }
-        };
-        match self.arrivals {
-            ArrivalProcess::Poisson { rate_per_sec } => positive("rate_per_sec", rate_per_sec),
-            ArrivalProcess::Bursty {
-                base_rate,
-                burst_rate,
-                mean_burst_s,
-                mean_gap_s,
-            } => {
-                positive("base_rate", base_rate)?;
-                positive("burst_rate", burst_rate)?;
-                positive("mean_burst_s", mean_burst_s)?;
-                positive("mean_gap_s", mean_gap_s)
-            }
-            ArrivalProcess::Diurnal {
-                base_rate,
-                peak_rate,
-                period_s,
-            } => {
-                positive("base_rate", base_rate)?;
-                positive("peak_rate", peak_rate)?;
-                positive("period_s", period_s)?;
-                if peak_rate < base_rate {
-                    return Err(format!(
-                        "arrivals peak_rate {peak_rate} must be at least base_rate {base_rate}"
-                    ));
-                }
-                Ok(())
-            }
-            ArrivalProcess::FlashCrowd {
-                base_rate,
-                peak_rate,
-                onset_s,
-                decay_s,
-            } => {
-                positive("base_rate", base_rate)?;
-                positive("peak_rate", peak_rate)?;
-                positive("decay_s", decay_s)?;
-                if !(onset_s.is_finite() && onset_s >= 0.0) {
-                    return Err(format!(
-                        "arrivals onset_s must be non-negative and finite, got {onset_s}"
-                    ));
-                }
-                if peak_rate < base_rate {
-                    return Err(format!(
-                        "arrivals peak_rate {peak_rate} must be at least base_rate {base_rate}"
-                    ));
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn validate_traffic(&self) -> Result<(), String> {
-        match &self.traffic {
-            TrafficModel::Mix { decode, .. } => {
-                if let Some(d) = decode {
-                    if d.min_steps == 0 {
-                        return Err("decode plans need at least one step".to_string());
-                    }
-                    if d.max_steps < d.min_steps {
-                        return Err(format!(
-                            "decode max_steps {} must be >= min_steps {}",
-                            d.max_steps, d.min_steps
-                        ));
-                    }
-                    if !(d.exit_prob.is_finite() && (0.0..1.0).contains(&d.exit_prob)) {
-                        return Err(format!(
-                            "decode exit_prob must be in [0, 1), got {}",
-                            d.exit_prob
-                        ));
-                    }
-                }
-                Ok(())
-            }
-            TrafficModel::Sessions { profile } => {
-                if profile.min_turns == 0 {
-                    return Err("sessions need at least one turn".to_string());
-                }
-                if profile.max_turns < profile.min_turns {
-                    return Err(format!(
-                        "session max_turns {} must be >= min_turns {}",
-                        profile.max_turns, profile.min_turns
-                    ));
-                }
-                if !(profile.think_mean_s.is_finite() && profile.think_mean_s > 0.0) {
-                    return Err(format!(
-                        "session think time must be positive and finite, got {}",
-                        profile.think_mean_s
-                    ));
-                }
-                if profile.heavy_pct > 100 {
-                    return Err(format!(
-                        "session heavy_pct is a percentage, got {}",
-                        profile.heavy_pct
-                    ));
-                }
-                Ok(())
-            }
-        }
     }
 
     /// The report's arrivals label — `"{process}/{mix}"` for mix
@@ -946,23 +670,19 @@ impl ScenarioSpec {
 
     /// Resolves the span-relative fault schedule against a generated
     /// trace, in list order (order is observable: the kernel breaks
-    /// same-instant fault ties by insertion).
-    fn fault_plan(&self, trace: &[Request]) -> FaultPlan {
-        if self.faults.is_empty() {
-            return FaultPlan::none();
-        }
-        let t0 = trace[0].arrival;
-        let span = trace.last().expect("validated non-empty trace").arrival - t0;
-        let mut plan = FaultPlan::none();
-        for f in &self.faults {
-            let time = t0 + span * f.at_frac;
-            plan = match f.kind {
-                FaultKindSpec::Kill => plan.kill(time, f.card),
-                FaultKindSpec::Degrade { factor } => plan.degrade(time, f.card, factor),
-                FaultKindSpec::Revive { warmup_s } => plan.revive(time, f.card, warmup_s),
-            };
-        }
-        plan
+    /// same-instant fault ties by insertion). Fails if a resolved time
+    /// is not finite (a huge `at_frac` on a long trace).
+    fn fault_plan(&self, trace: &[Request]) -> Result<FaultPlan, String> {
+        let (t0, last) = (trace[0].arrival, trace[trace.len() - 1].arrival);
+        let span = last - t0;
+        let resolve = |plan: FaultPlan, (i, f): (usize, &FaultSpec)| {
+            plan.try_push(f.event(t0, span))
+                .map_err(|e| format!("fault {i}: {e}"))
+        };
+        self.faults
+            .iter()
+            .enumerate()
+            .try_fold(FaultPlan::none(), resolve)
     }
 
     /// Runs the scenario and returns its report.
@@ -974,7 +694,8 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// Returns [`validate`](ScenarioSpec::validate)'s diagnostic if the
-    /// spec is invalid; never panics on bad data.
+    /// spec is invalid, or a diagnostic if its arrival or fault times
+    /// overflow to infinity.
     pub fn run(&self) -> Result<ServeReport, String> {
         self.run_profiled().map(|(report, _)| report)
     }
@@ -984,13 +705,17 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`validate`](ScenarioSpec::validate)'s diagnostic if the
-    /// spec is invalid; never panics on bad data.
+    /// As [`run`](ScenarioSpec::run).
     pub fn run_profiled(&self) -> Result<(ServeReport, KernelCounters), String> {
         self.validate()?;
         let fleet = self.fleet.config();
         let trace = self.trace();
-        let plan = self.fault_plan(&trace);
+        // Arrival times never decrease, so the last one overflows first.
+        let last = trace[trace.len() - 1].arrival;
+        if !last.is_finite() {
+            return Err(format!("arrival times overflow to {last} s"));
+        }
+        let plan = self.fault_plan(&trace)?;
         let mut policy = self.policy.build();
         let mut sim = Simulation::new(&fleet)
             .arrivals_label(self.arrivals_label())
@@ -1053,67 +778,14 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns a diagnostic naming the missing or mistyped field. The
-    /// parsed spec is *structurally* sound but not yet validated — call
-    /// [`validate`](ScenarioSpec::validate) (or just
+    /// Returns a diagnostic naming the path of the missing, mistyped or
+    /// out-of-range field (`traffic.heavy_pct: 300 is out of range for
+    /// u8`). The parsed spec is *structurally* sound but not yet
+    /// validated — call [`validate`](ScenarioSpec::validate) (or just
     /// [`run`](ScenarioSpec::run), which validates) before trusting the
     /// numbers in it.
     pub fn from_json(json: &Json) -> Result<ScenarioSpec, String> {
-        let obj = as_obj(json, "scenario spec")?;
-        let admission_obj = as_obj(get(obj, "spec.admission", "admission")?, "admission")?;
-        let mut admission = AdmissionControl::admit_all();
-        for (i, class) in RequestClass::ALL.iter().enumerate() {
-            match get(admission_obj, "admission class", class.name())? {
-                Json::Null => {}
-                cap => {
-                    admission.queue_caps[i] =
-                        Some(as_usize(cap, &format!("admission.{}", class.name()))?);
-                }
-            }
-        }
-        let autoscale = match get(obj, "spec.autoscale", "autoscale")? {
-            Json::Null => None,
-            cfg => {
-                let cfg = as_obj(cfg, "autoscale")?;
-                Some(AutoscalerConfig {
-                    min_cards: as_usize(
-                        get(cfg, "autoscale.min_cards", "min_cards")?,
-                        "min_cards",
-                    )?,
-                    up_queue_per_card: as_usize(
-                        get(cfg, "autoscale.up_queue_per_card", "up_queue_per_card")?,
-                        "up_queue_per_card",
-                    )?,
-                    down_idle_s: as_f64(
-                        get(cfg, "autoscale.down_idle_s", "down_idle_s")?,
-                        "down_idle_s",
-                    )?,
-                    warmup_s: as_f64(get(cfg, "autoscale.warmup_s", "warmup_s")?, "warmup_s")?,
-                })
-            }
-        };
-        let batching = match as_str(get(obj, "spec.batching", "batching")?, "batching")? {
-            "continuous" => DecodeBatching::Continuous,
-            "whole-job" => DecodeBatching::WholeJob,
-            other => return Err(format!("unknown batching mode {other:?}")),
-        };
-        Ok(ScenarioSpec {
-            name: as_str(get(obj, "spec.name", "name")?, "name")?.to_string(),
-            fleet: FleetSpec::from_json(get(obj, "spec.fleet", "fleet")?)?,
-            arrivals: arrivals_from_json(get(obj, "spec.arrivals", "arrivals")?)?,
-            traffic: TrafficModel::from_json(get(obj, "spec.traffic", "traffic")?)?,
-            policy: PolicySpec::from_json(get(obj, "spec.policy", "policy")?)?,
-            admission,
-            preemption: PreemptionSpec::from_json(get(obj, "spec.preemption", "preemption")?)?,
-            autoscale,
-            faults: as_arr(get(obj, "spec.faults", "faults")?, "faults")?
-                .iter()
-                .map(FaultSpec::from_json)
-                .collect::<Result<Vec<_>, String>>()?,
-            batching,
-            seed: as_u64(get(obj, "spec.seed", "seed")?, "seed")?,
-            requests: as_usize(get(obj, "spec.requests", "requests")?, "requests")?,
-        })
+        <ScenarioSpec as FromJson>::from_json(json).map_err(|e| e.to_string())
     }
 }
 
@@ -1160,92 +832,171 @@ fn arrivals_to_json(arrivals: &ArrivalProcess) -> Json {
     }
 }
 
-fn arrivals_from_json(json: &Json) -> Result<ArrivalProcess, String> {
-    let obj = as_obj(json, "arrivals")?;
-    let f = |key: &str| as_f64(get(obj, "arrivals field", key)?, key);
-    match as_str(get(obj, "arrivals.kind", "kind")?, "arrivals.kind")? {
-        "poisson" => Ok(ArrivalProcess::Poisson {
-            rate_per_sec: f("rate_per_sec")?,
-        }),
-        "bursty" => Ok(ArrivalProcess::Bursty {
-            base_rate: f("base_rate")?,
-            burst_rate: f("burst_rate")?,
-            mean_burst_s: f("mean_burst_s")?,
-            mean_gap_s: f("mean_gap_s")?,
-        }),
-        "diurnal" => Ok(ArrivalProcess::Diurnal {
-            base_rate: f("base_rate")?,
-            peak_rate: f("peak_rate")?,
-            period_s: f("period_s")?,
-        }),
-        "flash-crowd" => Ok(ArrivalProcess::FlashCrowd {
-            base_rate: f("base_rate")?,
-            peak_rate: f("peak_rate")?,
-            onset_s: f("onset_s")?,
-            decay_s: f("decay_s")?,
-        }),
-        other => Err(format!("unknown arrival kind {other:?}")),
+// ---- the spec loader: every type's JSON reader, in schema order ----
+
+/// `FromJson` for a struct stored as one JSON object, each field under
+/// its own name.
+macro_rules! struct_from_json {
+    ($($ty:ident { $($field:ident),* })*) => {$(
+        impl<'a> FromJson<'a> for $ty {
+            fn from_json(json: &'a Json) -> Result<$ty, ReadError> {
+                let obj = Fields::from_json(json)?;
+                Ok(read_fields!(obj, $ty { $($field),* }))
+            }
+        }
+    )*};
+}
+
+struct_from_json! {
+    ScenarioSpec {
+        name, fleet, arrivals, traffic, policy, admission, preemption, autoscale, faults,
+        batching, seed, requests
+    }
+    FleetSpec { groups }
+    CardGroupSpec { count, design, memory }
+    DecodeMix { min_steps, max_steps, exit_prob }
+    SessionProfile { min_turns, max_turns, think_mean_s, heavy_pct }
+    AutoscalerConfig { min_cards, up_queue_per_card, down_idle_s, warmup_s }
+}
+
+impl<'a> FromJson<'a> for CardDesign {
+    fn from_json(json: &'a Json) -> Result<CardDesign, ReadError> {
+        let designs = [CardDesign::Fp16Dual, CardDesign::Fp32Single];
+        by_name(json, "card design", &designs, CardDesign::name)
     }
 }
 
-// ---- small typed accessors over the ordered-pairs Json object ----
-
-fn get<'a>(obj: &'a [(String, Json)], context: &str, key: &str) -> Result<&'a Json, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("{context}: missing field {key:?}"))
-}
-
-fn as_obj<'a>(json: &'a Json, context: &str) -> Result<&'a [(String, Json)], String> {
-    match json {
-        Json::Obj(pairs) => Ok(pairs),
-        other => Err(format!("{context}: expected an object, got {other:?}")),
+impl<'a> FromJson<'a> for MemorySpec {
+    fn from_json(json: &'a Json) -> Result<MemorySpec, ReadError> {
+        match json {
+            Json::Str(s) if s == "hbm2" => Ok(MemorySpec::Hbm2),
+            Json::Str(s) => Err(ReadError::unknown("memory spec", s)),
+            other => f64::from_json(other).map(MemorySpec::BytesPerSec),
+        }
     }
 }
 
-fn as_arr<'a>(json: &'a Json, context: &str) -> Result<&'a [Json], String> {
-    match json {
-        Json::Arr(items) => Ok(items),
-        other => Err(format!("{context}: expected an array, got {other:?}")),
+impl<'a> FromJson<'a> for ArrivalProcess {
+    fn from_json(json: &'a Json) -> Result<ArrivalProcess, ReadError> {
+        let obj = Fields::from_json(json)?;
+        Ok(match obj.get("kind")? {
+            "poisson" => read_fields!(obj, ArrivalProcess::Poisson { rate_per_sec }),
+            "bursty" => read_fields! {
+                obj, ArrivalProcess::Bursty { base_rate, burst_rate, mean_burst_s, mean_gap_s }
+            },
+            "diurnal" => read_fields! {
+                obj, ArrivalProcess::Diurnal { base_rate, peak_rate, period_s }
+            },
+            "flash-crowd" => read_fields! {
+                obj, ArrivalProcess::FlashCrowd { base_rate, peak_rate, onset_s, decay_s }
+            },
+            other => return Err(ReadError::unknown("arrival kind", other)),
+        })
     }
 }
 
-fn as_str<'a>(json: &'a Json, context: &str) -> Result<&'a str, String> {
-    match json {
-        Json::Str(s) => Ok(s),
-        other => Err(format!("{context}: expected a string, got {other:?}")),
+impl<'a> FromJson<'a> for TrafficModel {
+    fn from_json(json: &'a Json) -> Result<TrafficModel, ReadError> {
+        let obj = Fields::from_json(json)?;
+        Ok(match obj.get("kind")? {
+            "mix" => read_fields!(obj, TrafficModel::Mix { mix, decode }),
+            // A session profile's fields sit beside `kind`.
+            "sessions" => TrafficModel::Sessions {
+                profile: SessionProfile::from_json(json)?,
+            },
+            other => return Err(ReadError::unknown("traffic kind", other)),
+        })
     }
 }
 
-fn as_bool(json: &Json, context: &str) -> Result<bool, String> {
-    match json {
-        Json::Bool(b) => Ok(*b),
-        other => Err(format!("{context}: expected a boolean, got {other:?}")),
+impl<'a> FromJson<'a> for RequestMix {
+    fn from_json(json: &'a Json) -> Result<RequestMix, ReadError> {
+        by_name(json, "request mix", &RequestMix::ALL, RequestMix::name)
     }
 }
 
-fn as_f64(json: &Json, context: &str) -> Result<f64, String> {
-    match *json {
-        Json::Num(x) => Ok(x),
-        Json::Int(i) => Ok(i as f64),
-        Json::UInt(u) => Ok(u as f64),
-        ref other => Err(format!("{context}: expected a number, got {other:?}")),
+impl<'a> FromJson<'a> for PolicySpec {
+    fn from_json(json: &'a Json) -> Result<PolicySpec, ReadError> {
+        let obj = Fields::from_json(json)?;
+        Ok(match obj.get("kind")? {
+            "fifo" => PolicySpec::Fifo,
+            "least-loaded" => PolicySpec::LeastLoaded,
+            "shortest-job-first" => PolicySpec::ShortestJobFirst,
+            "head-affinity" => PolicySpec::HeadAffinity,
+            "sharded-least-loaded" => read_fields! {
+                obj, PolicySpec::ShardedLeastLoaded { max_shards, adaptive }
+            },
+            "sharded-shortest-job-first" => read_fields! {
+                obj, PolicySpec::ShardedShortestJobFirst { max_shards, adaptive }
+            },
+            "session-affinity" => {
+                read_fields!(obj, PolicySpec::SessionAffinity { capacity_per_card })
+            }
+            other => return Err(ReadError::unknown("policy kind", other)),
+        })
     }
 }
 
-fn as_u64(json: &Json, context: &str) -> Result<u64, String> {
-    match *json {
-        Json::UInt(u) => Ok(u),
-        Json::Int(i) if i >= 0 => Ok(i as u64),
-        ref other => Err(format!(
-            "{context}: expected a non-negative integer, got {other:?}"
-        )),
+impl<'a> FromJson<'a> for AdmissionControl {
+    fn from_json(json: &'a Json) -> Result<AdmissionControl, ReadError> {
+        let obj = Fields::from_json(json)?;
+        let mut admission = AdmissionControl::admit_all();
+        for (cap, class) in admission.queue_caps.iter_mut().zip(RequestClass::ALL) {
+            *cap = obj.get(class.name())?;
+        }
+        Ok(admission)
     }
 }
 
-fn as_usize(json: &Json, context: &str) -> Result<usize, String> {
-    as_u64(json, context).map(|u| u as usize)
+impl<'a> FromJson<'a> for PreemptionSpec {
+    fn from_json(json: &'a Json) -> Result<PreemptionSpec, ReadError> {
+        let obj = Fields::from_json(json)?;
+        Ok(match obj.get("kind")? {
+            "disabled" => PreemptionSpec::Disabled,
+            "after-wait" => read_fields!(obj, PreemptionSpec::AfterWait { threshold_s }),
+            "cost-aware" => read_fields!(obj, PreemptionSpec::CostAware { threshold_s }),
+            other => return Err(ReadError::unknown("preemption kind", other)),
+        })
+    }
+}
+
+impl<'a> FromJson<'a> for FaultSpec {
+    fn from_json(json: &'a Json) -> Result<FaultSpec, ReadError> {
+        let obj = Fields::from_json(json)?;
+        let kind = match obj.get("kind")? {
+            "kill" => FaultKindSpec::Kill,
+            "degrade" => read_fields!(obj, FaultKindSpec::Degrade { factor }),
+            "revive" => read_fields!(obj, FaultKindSpec::Revive { warmup_s }),
+            other => return Err(ReadError::unknown("fault kind", other)),
+        };
+        let (at_frac, card) = (obj.get("at_frac")?, obj.get("card")?);
+        Ok(FaultSpec {
+            at_frac,
+            card,
+            kind,
+        })
+    }
+}
+
+impl<'a> FromJson<'a> for DecodeBatching {
+    fn from_json(json: &'a Json) -> Result<DecodeBatching, ReadError> {
+        let modes = [DecodeBatching::Continuous, DecodeBatching::WholeJob];
+        by_name(json, "batching mode", &modes, DecodeBatching::name)
+    }
+}
+
+/// Reads a string naming one of `values` (by `name`).
+fn by_name<T: Copy>(
+    json: &Json,
+    what: &str,
+    values: &[T],
+    name: fn(&T) -> &'static str,
+) -> Result<T, ReadError> {
+    let wanted = <&str>::from_json(json)?;
+    let found = values.iter().find(|v| name(v) == wanted);
+    found
+        .copied()
+        .ok_or_else(|| ReadError::unknown(what, wanted))
 }
 
 #[cfg(test)]
@@ -1381,6 +1132,27 @@ mod tests {
         };
         let err = bad_exit.run().unwrap_err();
         assert!(err.contains("exit_prob"), "{err}");
+    }
+
+    #[test]
+    fn from_json_names_the_path_of_a_bad_field() {
+        let load_with_faults = |faults: Json| {
+            let mut json = spec().to_json();
+            if let Json::Obj(pairs) = &mut json {
+                pairs.iter_mut().find(|(k, _)| k == "faults").unwrap().1 = faults;
+            }
+            ScenarioSpec::from_json(&json).unwrap_err()
+        };
+        let kill = spec().faults[0].to_json();
+        let revive = Json::obj([("kind", Json::Str("revive".into()))]);
+        assert_eq!(
+            load_with_faults(Json::arr([kill.clone(), revive])),
+            "faults[1].warmup_s: missing field"
+        );
+        assert_eq!(
+            load_with_faults(Json::arr([kill, Json::Int(-1)])),
+            "faults[1]: expected an object, got Int(-1)"
+        );
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl SessionTraffic {
     /// conversations: arrival-sorted, sequentially numbered, each request
     /// tagged with its 1-based session id.
     pub fn requests(&self, sessions: usize) -> Vec<Request> {
-        self.profile.validate();
+        self.profile.validate().unwrap_or_else(|e| panic!("{e}"));
         let starts = self.arrivals.times(sessions, self.seed);
         let mut master = SplitMix64::new(self.seed ^ SESSION_STREAM);
         let mut trace: Vec<Request> = Vec::new();

@@ -116,7 +116,7 @@ impl TrafficSpec {
     /// still consumes the same two draws per request but produces inert
     /// plans, keeping A/B sweeps aligned.
     pub fn decode_requests(&self, n: usize, decode: &swat_workloads::DecodeMix) -> Vec<Request> {
-        decode.validate();
+        decode.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut rng = SplitMix64::new(self.seed ^ 0xDEC0_DE00);
         self.requests(n)
             .into_iter()
@@ -241,16 +241,14 @@ impl PreemptionControl {
     ///
     /// # Panics
     ///
-    /// Panics if the threshold is not positive and finite.
+    /// Panics with [`PreemptionControl::validate`]'s diagnostic.
     pub fn after_wait(threshold_s: f64) -> PreemptionControl {
-        assert!(
-            threshold_s.is_finite() && threshold_s > 0.0,
-            "preemption threshold must be positive and finite"
-        );
-        PreemptionControl {
+        let control = PreemptionControl {
             wait_threshold_s: Some(threshold_s),
             cost_aware_victims: false,
-        }
+        };
+        control.validate().unwrap_or_else(|e| panic!("{e}"));
+        control
     }
 
     /// Like [`PreemptionControl::after_wait`], but victims are selected
@@ -260,11 +258,27 @@ impl PreemptionControl {
     ///
     /// # Panics
     ///
-    /// Panics if the threshold is not positive and finite.
+    /// Panics with [`PreemptionControl::validate`]'s diagnostic.
     pub fn cost_aware(threshold_s: f64) -> PreemptionControl {
         PreemptionControl {
             cost_aware_victims: true,
             ..PreemptionControl::after_wait(threshold_s)
+        }
+    }
+
+    /// Checks the control is usable.
+    ///
+    /// # Errors
+    ///
+    /// Returns a diagnostic naming `threshold_s` if the wait threshold is
+    /// not strictly positive and finite: a zero threshold would re-arm
+    /// the preemption timer at the instant it fires.
+    pub fn validate(&self) -> Result<(), String> {
+        match self.wait_threshold_s {
+            Some(t) if !(t.is_finite() && t > 0.0) => Err(format!(
+                "preemption threshold_s must be positive and finite, got {t}"
+            )),
+            _ => Ok(()),
         }
     }
 }

@@ -404,3 +404,166 @@ proptest! {
         }
     }
 }
+
+/// A zero preemption threshold used to pass `validate()` (which allowed
+/// `>= 0`) and then panic in `run()` (the constructor wants `> 0`). The
+/// constructor's rule is the one rule now: both kinds are diagnostics.
+#[test]
+fn zero_preemption_threshold_is_a_diagnostic_not_a_panic() {
+    for preemption in [
+        PreemptionSpec::AfterWait { threshold_s: 0.0 },
+        PreemptionSpec::CostAware { threshold_s: 0.0 },
+    ] {
+        let spec = ScenarioSpec {
+            preemption,
+            ..ScenarioSpec::default()
+        };
+        let err = spec.run().unwrap_err();
+        assert!(err.contains("threshold_s"), "{preemption:?}: {err}");
+    }
+}
+
+/// Sets the field at `path` (object keys) inside `json`.
+fn set_field(json: &mut Json, path: &[&str], value: Json) {
+    let Json::Obj(fields) = json else {
+        panic!("{path:?} runs through a non-object");
+    };
+    let (_, child) = fields
+        .iter_mut()
+        .find(|(k, _)| k == path[0])
+        .expect("field exists");
+    match path {
+        [_] => *child = value,
+        [_, rest @ ..] => set_field(child, rest, value),
+        [] => unreachable!(),
+    }
+}
+
+#[test]
+fn out_of_range_heavy_pct_is_rejected_not_truncated() {
+    let mut json = ScenarioSpec {
+        traffic: TrafficModel::Sessions {
+            profile: SessionProfile::standard(),
+        },
+        ..ScenarioSpec::default()
+    }
+    .to_json();
+    // 300 used to load as 300 mod 256 = 44, a valid percentage.
+    set_field(&mut json, &["traffic", "heavy_pct"], Json::Int(300));
+    let err = ScenarioSpec::from_json(&json).unwrap_err();
+    assert!(err.contains("traffic.heavy_pct"), "{err}");
+}
+
+#[test]
+fn out_of_range_min_steps_is_rejected_not_truncated() {
+    let decode = DecodeMix {
+        min_steps: 1,
+        max_steps: 2,
+        exit_prob: 0.0,
+    };
+    let mut json = ScenarioSpec {
+        traffic: TrafficModel::Mix {
+            mix: RequestMix::Production,
+            decode: Some(decode),
+        },
+        ..ScenarioSpec::default()
+    }
+    .to_json();
+    // 2^32 + 1 used to load as 1.
+    let path = ["traffic", "decode", "min_steps"];
+    set_field(&mut json, &path, Json::Int((1 << 32) + 1));
+    let err = ScenarioSpec::from_json(&json).unwrap_err();
+    assert!(err.contains("traffic.decode.min_steps"), "{err}");
+}
+
+/// Inputs whose every field is in range but whose arrival or fault times
+/// overflow to infinity: each used to pass `validate()` and then panic
+/// (or, for the thinned and phased processes, never finish) in `run()`.
+#[test]
+fn overflowing_times_are_diagnostics_not_panics() {
+    let cases = [
+        (
+            "fault at_frac 1e308",
+            ScenarioSpec {
+                faults: vec![FaultSpec {
+                    at_frac: 1e308,
+                    card: 0,
+                    kind: FaultKindSpec::Kill,
+                }],
+                requests: 50,
+                ..ScenarioSpec::default()
+            },
+            "fault 0",
+        ),
+        (
+            "poisson rate 5e-324",
+            ScenarioSpec {
+                arrivals: ArrivalProcess::poisson(5e-324),
+                requests: 2,
+                ..ScenarioSpec::default()
+            },
+            "arrival times overflow",
+        ),
+        (
+            "diurnal rate 5e-324",
+            ScenarioSpec {
+                arrivals: ArrivalProcess::diurnal(5e-324, 5e-324),
+                requests: 2,
+                ..ScenarioSpec::default()
+            },
+            "arrival times overflow",
+        ),
+        (
+            "bursty rate 5e-324",
+            ScenarioSpec {
+                arrivals: ArrivalProcess::bursty(5e-324),
+                requests: 2,
+                ..ScenarioSpec::default()
+            },
+            "arrival times overflow",
+        ),
+        (
+            "think_mean_s 1e308",
+            ScenarioSpec {
+                traffic: TrafficModel::Sessions {
+                    profile: SessionProfile {
+                        think_mean_s: 1e308,
+                        ..SessionProfile::standard()
+                    },
+                },
+                requests: 4,
+                ..ScenarioSpec::default()
+            },
+            "arrival times overflow",
+        ),
+    ];
+    for (case, spec, expected) in cases {
+        assert!(spec.validate().is_ok(), "{case}: every field is in range");
+        let err = spec.run().unwrap_err();
+        assert!(err.contains(expected), "{case}: {err}");
+    }
+}
+
+/// `max_shards` is a cap, not a size: `usize::MAX` plans exactly what a
+/// cap of the fleet's pipeline count does (it used to abort allocating
+/// a `usize::MAX`-capacity plan).
+#[test]
+fn unbounded_max_shards_runs_like_the_widest_real_cap() {
+    for adaptive in [true, false] {
+        let spec = |max_shards| ScenarioSpec {
+            fleet: FleetSpec::standard(2),
+            arrivals: ArrivalProcess::poisson(8.0),
+            policy: PolicySpec::ShardedShortestJobFirst {
+                max_shards,
+                adaptive,
+            },
+            requests: 60,
+            seed: 11,
+            ..ScenarioSpec::default()
+        };
+        let unbounded = spec(usize::MAX).run().expect("runs to completion");
+        let widest = spec(4).run().unwrap();
+        assert_eq!(unbounded.offered, 60);
+        assert_eq!(unbounded.to_json().pretty(), widest.to_json().pretty());
+    }
+}

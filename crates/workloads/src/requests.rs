@@ -247,15 +247,19 @@ impl DecodePlan {
 
     /// Checks the plan is usable.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on zero steps or an exit probability outside `[0, 1)`.
-    pub fn validate(&self) {
-        assert!(self.steps >= 1, "a decode plan needs at least one step");
-        assert!(
-            self.exit_prob.is_finite() && (0.0..1.0).contains(&self.exit_prob),
-            "early-exit probability must be in [0, 1)"
-        );
+    /// Returns a diagnostic on zero steps or an exit probability outside
+    /// `[0, 1)`.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.steps == 0 {
+            return Err("decode plans need at least one step".to_string());
+        }
+        let p = self.exit_prob;
+        if !(0.0..1.0).contains(&p) {
+            return Err(format!("decode exit_prob must be in [0, 1), got {p}"));
+        }
+        Ok(())
     }
 
     /// The plan's `step`-th early-exit draw (0-based), a unit uniform
@@ -318,20 +322,22 @@ impl DecodeMix {
 
     /// Checks the parameters are usable.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a zero/inverted step range or an exit probability
-    /// outside `[0, 1)`.
-    pub fn validate(&self) {
-        assert!(self.min_steps >= 1, "decode plans need at least one step");
-        assert!(
-            self.max_steps >= self.min_steps,
-            "max_steps must be >= min_steps"
-        );
-        assert!(
-            self.exit_prob.is_finite() && (0.0..1.0).contains(&self.exit_prob),
-            "early-exit probability must be in [0, 1)"
-        );
+    /// Returns a diagnostic on an inverted step range, or
+    /// [`DecodePlan::validate`]'s for the range's shortest plan.
+    pub fn validate(&self) -> Result<(), String> {
+        let (min, max) = (self.min_steps, self.max_steps);
+        if max < min {
+            return Err(format!("decode max_steps {max} must be >= min_steps {min}"));
+        }
+        let (steps, exit_prob) = (min, self.exit_prob);
+        DecodePlan {
+            steps,
+            exit_prob,
+            exit_seed: 0,
+        }
+        .validate()
     }
 
     /// Draws one plan: steps uniform over the range, a fresh exit seed.
@@ -398,21 +404,24 @@ impl SessionProfile {
 
     /// Checks the parameters are usable.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a zero/inverted turn range, a non-positive think time,
-    /// or a heavy share above 100 %.
-    pub fn validate(&self) {
-        assert!(self.min_turns >= 1, "sessions need at least one turn");
-        assert!(
-            self.max_turns >= self.min_turns,
-            "max_turns must be >= min_turns"
-        );
-        assert!(
-            self.think_mean_s.is_finite() && self.think_mean_s > 0.0,
-            "think time must be positive and finite"
-        );
-        assert!(self.heavy_pct <= 100, "heavy share is a percentage");
+    /// Returns a diagnostic naming the field on a zero/inverted turn
+    /// range, a non-positive think time, or a heavy share above 100 %.
+    pub fn validate(&self) -> Result<(), String> {
+        let (min, max, think) = (self.min_turns, self.max_turns, self.think_mean_s);
+        let problem = if min == 0 {
+            "sessions need at least one turn (min_turns >= 1)".to_string()
+        } else if max < min {
+            format!("session max_turns {max} must be >= min_turns {min}")
+        } else if !(think.is_finite() && think > 0.0) {
+            format!("session think_mean_s must be positive and finite, got {think}")
+        } else if self.heavy_pct > 100 {
+            format!("session heavy_pct is a percentage, got {}", self.heavy_pct)
+        } else {
+            return Ok(());
+        };
+        Err(problem)
     }
 
     /// Draws how many turns a session runs (uniform over the range).
@@ -534,7 +543,7 @@ mod tests {
     #[test]
     fn session_profiles_draw_admissible_growing_turns() {
         let p = SessionProfile::standard();
-        p.validate();
+        p.validate().unwrap();
         let mut rng = SplitMix64::new(31);
         for _ in 0..100 {
             let turns = p.draw_turns(&mut rng);
@@ -565,7 +574,7 @@ mod tests {
             "10% of 2000 within noise, got {heavy}"
         );
         let solo = SessionProfile::interactive_only();
-        solo.validate();
+        solo.validate().unwrap();
         let mut rng = SplitMix64::new(6);
         assert!((0..500).all(|_| !solo.draw_heavy(&mut rng)));
     }
@@ -577,13 +586,14 @@ mod tests {
             min_turns: 0,
             ..SessionProfile::standard()
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 
     #[test]
     fn one_shot_decode_plans_are_inert() {
         let plan = DecodePlan::one_shot();
-        plan.validate();
+        plan.validate().unwrap();
         assert!(plan.is_one_shot());
         assert_eq!(plan.expected_steps_from(0), 1.0);
         assert!(!plan.exits_after(0), "disabled early exit never fires");
@@ -604,7 +614,7 @@ mod tests {
             exit_prob: 0.3,
             exit_seed: 1234,
         };
-        plan.validate();
+        plan.validate().unwrap();
         let draws: Vec<f64> = (0..8).map(|s| plan.exit_draw(s)).collect();
         assert_eq!(
             draws,
@@ -651,7 +661,7 @@ mod tests {
             max_steps: 6,
             exit_prob: 0.25,
         };
-        mix.validate();
+        mix.validate().unwrap();
         let mut rng = SplitMix64::new(77);
         let plans: Vec<DecodePlan> = (0..200).map(|_| mix.sample_plan(&mut rng)).collect();
         assert!(plans
@@ -668,7 +678,7 @@ mod tests {
                 .collect::<Vec<_>>(),
             plans
         );
-        DecodeMix::one_shot().validate();
+        DecodeMix::one_shot().validate().unwrap();
         assert!(DecodeMix::one_shot().sample_plan(&mut rng).is_one_shot());
     }
 
@@ -680,7 +690,8 @@ mod tests {
             exit_prob: 0.0,
             exit_seed: 0,
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 
     #[test]
@@ -691,7 +702,8 @@ mod tests {
             max_steps: 2,
             exit_prob: 1.0,
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 
     #[test]
